@@ -143,13 +143,16 @@ def iroot(n, k):
         raise ValueError("negative radicand")
     if n < 2 or k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    # float seed may be off by a little; fix up exactly
-    while r > 0 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k >= n.bit_length():
+        return 1
+    # Newton's method in integers, from r = 2^ceil(bits/k) > n^(1/k): the
+    # iterates fall strictly until they reach the floor of the root.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_prime_power(n):

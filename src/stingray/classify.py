@@ -86,10 +86,9 @@ def classify_element(g, e):
     non1 = [(f, m) for f, m in fac if f != tm1]
     blocks = tuple((f.degree, m) for f, m in non1)
     fixed_dim = fmatrix.fixed_space(g).dim
-    mp = fmatrix.min_poly(g)
-    mp_fac = fpoly.factor_cached(mp).factors
+    mp_fac = fmatrix._min_poly_factors(g, fac)
     semisimple = all(m == 1 for _, m in mp_fac)
-    order = fmatrix.order_from_min_poly(mp)
+    order = fmatrix._order_from_factors(F, mp_fac)
 
     base = dict(d=d, q=F.q, order=order, semisimple=semisimple,
                 fixed_dim=fixed_dim, irreducible_blocks=blocks)
@@ -116,7 +115,7 @@ def classify_element(g, e):
                 notes=note + "; shape matches TYPE_2I", **base)
         # (2.ii) char = f^2, semisimple (min poly = f)
         if (len(fac) == 1 and non1 and non1[0][1] == 2
-                and non1[0][0].degree == half and mp == non1[0][0]):
+                and non1[0][0].degree == half and semisimple):
             ok, note = _order_qualifies(order, F.q, half)
             if ok:
                 return ElementClassification(tag=TYPE_2II, e=half, t=2,
@@ -147,8 +146,11 @@ def is_stingray_oracle(g, e):
     """Decomposition-based stingray test, independent of classify_element.
 
     Checks dim ker(g-1) = d-e, dim im(g-1) = e, trivial intersection,
-    invariance of the image, and irreducibility of the restricted action
-    through its minimal polynomial.
+    invariance of the image, and irreducibility of the restricted action.
+    The last is Rabin's test on the characteristic polynomial of the e x e
+    restriction: it is irreducible exactly when the minimal polynomial is
+    irreducible of degree e.  Neither min_poly nor fpoly.factor is called,
+    so the oracle shares no factorization with classify_element.
     """
     d = g.nrows
     F = g.field
@@ -163,8 +165,7 @@ def is_stingray_oracle(g, e):
         return False
     if not w.is_invariant(g):
         return False
-    mw = fmatrix.min_poly(fmatrix.restrict(g, w))
-    return mw.degree == e and fpoly.is_irreducible(mw)
+    return fpoly.is_irreducible(fmatrix.char_poly(fmatrix.restrict(g, w)))
 
 
 def construct_stingray(q, d, r=None, det_one=False):

@@ -497,64 +497,73 @@ def _py_charpoly(F, M):
     return fpoly.DensePoly(F, polys[d])
 
 
+def _poly_at(f, g):
+    """f(g) for a monic f of degree >= 1, by Horner's rule."""
+    F, d = g.field, g.nrows
+    cs = f.coeffs
+    acc = g + scalar_matrix(F, d, cs[-2])
+    for c in reversed(cs[:-2]):
+        acc = acc * g + scalar_matrix(F, d, c)
+    return acc
+
+
+def _min_poly_factors(g, char_factors):
+    """(f, k) pairs of the minimal polynomial of g, given the (f, m) pairs of
+    its factored characteristic polynomial.
+
+    ker f(g)^m is the f-primary component of the space, of dimension
+    m deg f, so k is the least exponent with rank f(g)^k = d - m deg f.
+    k = 1 when m = 1, and k = m needs no rank check.
+    """
+    d = g.nrows
+    out = []
+    for f, m in char_factors:
+        k = 1
+        if m > 1:
+            target = d - m * f.degree
+            fg = _poly_at(f, g)
+            h = fg
+            while k < m and h.rank() > target:
+                h = h * fg
+                k += 1
+        out.append((f, k))
+    return out
+
+
 def min_poly(g):
-    """Minimal polynomial via Krylov chains and least common multiples."""
-    d = g._square()
-    F = g.field
-    m = fpoly.constant(F, 1)
-    seen = Subspace.from_rows(F, [], ambient_dim=d)
-    for i in range(d):
-        if m.degree == d:
-            break
-        e = np.zeros(d, dtype=np.int64)
-        e[i] = 1
-        if seen.contains_vector(e):
-            continue
-        # echelonized Krylov chain with coefficient tracking
-        chain_rows = []      # reduced vectors paired with combo coefficients
-        v = e
-        combo = [1]
-        while True:
-            w = np.array(v, dtype=np.int64)
-            cc = list(combo) + [0] * (d + 1 - len(combo))
-            for red, redc in chain_rows:
-                pivcol = int(np.nonzero(red)[0][0])
-                c = int(w[pivcol])
-                if c:
-                    for j in range(d):
-                        w[j] = F.sub_enc(int(w[j]), F.mul_enc(c, int(red[j])))
-                    for j in range(d + 1):
-                        cc[j] = F.sub_enc(cc[j], F.mul_enc(c, redc[j]))
-            if not np.any(w):
-                local = fpoly.DensePoly(F, cc).monic()
-                m = fpoly.lcm(m, local)
-                break
-            pivcol = int(np.nonzero(w)[0][0])
-            inv = F.inv_enc(int(w[pivcol]))
-            for j in range(d):
-                w[j] = F.mul_enc(inv, int(w[j]))
-            cc = [F.mul_enc(inv, c) for c in cc]
-            chain_rows.append((w, cc))
-            v = apply_row(v, g)
-            combo = [0] + combo
-        seen = seen.sum(Subspace.from_rows(
-            F, [row for row, _ in chain_rows], ambient_dim=d))
-    return m
+    """Minimal polynomial, read off the factored characteristic polynomial.
+
+    The minimal polynomial has the same irreducible factors f as the
+    characteristic polynomial.  A factor of multiplicity 1 there has
+    exponent 1 here, so a squarefree characteristic polynomial (the usual
+    case for random elements) is its own minimal polynomial and costs no
+    matrix work; for a repeated factor the exponent comes from the ranks
+    of the powers of f(g).
+    """
+    g._square()
+    cp_factors = fpoly.factor_cached(char_poly(g)).factors
+    return fpoly.Factorization(1, _min_poly_factors(g, cp_factors)).expand(
+        g.field)
 
 
 def order_from_min_poly(mp):
-    """Multiplicative order of any matrix with minimal polynomial mp.
-
-    Splits as s * p^k: s is the lcm of the root orders of the distinct
-    irreducible factors of mp, and p^k covers the largest multiplicity.
-    """
-    F = mp.field
+    """Multiplicative order of any matrix with minimal polynomial mp."""
     if not mp.coeffs or mp.coeffs[0] == 0:
         raise Singular("matrix is singular")
+    return _order_from_factors(mp.field, fpoly.factor_cached(mp).factors)
+
+
+def _order_from_factors(F, mp_factors):
+    """Order from the (irreducible, multiplicity) pairs of a minimal
+    polynomial with nonzero constant term.
+
+    Splits as s * p^k: s is the lcm of the root orders of the distinct
+    irreducible factors, and p^k covers the largest multiplicity.
+    """
     s = 1
     max_mult = 1
     tm1 = fpoly.DensePoly(F, [F.neg_enc(1), 1])
-    for f, mult in fpoly.factor_cached(mp).factors:
+    for f, mult in mp_factors:
         max_mult = max(max_mult, mult)
         if f == tm1:
             continue
@@ -569,4 +578,8 @@ def order_from_min_poly(mp):
 def matrix_order(g):
     """Multiplicative order of an invertible matrix."""
     g._square()
-    return order_from_min_poly(min_poly(g))
+    cp = char_poly(g)
+    if cp.coeffs[0] == 0:
+        raise Singular("matrix is singular")
+    cp_factors = fpoly.factor_cached(cp).factors
+    return _order_from_factors(g.field, _min_poly_factors(g, cp_factors))

@@ -1,6 +1,7 @@
 import pytest
 
-from stingray import classify, cyclo, ffield, fmatrix, fpoly, groups
+from stingray import (_manifest, classify, cyclo, ffield, fmatrix, fpoly,
+                      groups)
 from stingray._intmath import SplitMix64
 from stingray.errors import (NoPpdPrime, NoUnimodularFactor, Singular,
                              StingrayUsageError, UnsupportedR)
@@ -86,6 +87,24 @@ def test_classify_matches_oracle_on_random_walks():
             cls = classify.classify_element(g, d // 2)
             assert (cls.tag == classify.STINGRAY and cls.e == d // 2) == \
                 classify.is_stingray_oracle(g, d // 2)
+
+
+def test_oracle_does_not_factor(monkeypatch):
+    cases = []
+    for case in _manifest.PERMMOD_CASES:
+        mod = groups.deleted_perm_module(case["n"], case["p"])
+        img = mod.to_matrix(groups.perm_from_cycles(case["n"], case["cycles"]))
+        cases.append((img, case["e"], case["stingray"]))
+    g = classify.construct_stingray(3, 8)
+    cases += [(g, 4, True), (g, 2, False)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not factor polynomials")
+
+    monkeypatch.setattr(fpoly, "factor", refuse)
+    monkeypatch.setattr(fpoly, "factor_cached", refuse)
+    for img, e, want in cases:
+        assert classify.is_stingray_oracle(img, e) is want
 
 
 def test_construct_stingray_canonical_cases():

@@ -12,6 +12,8 @@ F2 = ffield.make_field(2)
 F3 = ffield.make_field(3)
 F4 = ffield.make_field(2, 2)
 F5 = ffield.make_field(5)
+F9 = ffield.make_field(3, 2)
+F251 = ffield.make_field(251)
 
 
 def M(F, rows):
@@ -85,6 +87,64 @@ def test_min_poly_divides_char_poly_same_support():
             cp_supp = {tuple(g.coeffs) for g, _ in fpoly.factor(cp).factors}
             mp_supp = {tuple(g.coeffs) for g, _ in fpoly.factor(mp).factors}
             assert cp_supp == mp_supp
+
+
+def _eval_at(f, g):
+    """f(g) by Horner's rule on whole matrices."""
+    F, d = g.field, g.nrows
+    acc = fmatrix.zeros(F, d)
+    for c in reversed(f.coeffs):
+        acc = acc * g + fmatrix.scalar_matrix(F, d, c)
+    return acc
+
+
+def _jordan(F, c, k):
+    """k x k block with c on the diagonal and 1 on the superdiagonal."""
+    return M(F, [[c if j == i else (1 if j == i + 1 else 0)
+                  for j in range(k)] for i in range(k)])
+
+
+def _min_poly_cases(F, rng):
+    """Random, singular and non-semisimple matrices, several conjugated."""
+    f = fpoly.DensePoly(F, [1, 1, 1]) if F.p == 2 else \
+        fpoly.DensePoly(F, [1, 0, 1])
+    c = fmatrix.companion(f)
+    coupled = fmatrix.block_diagonal([c, c]).arr.copy()
+    coupled[1, 2] = 1                 # links the two copies of companion(f)
+    x = rng.randrange(F.q - 1) + 1
+    cases = [
+        fmatrix.zeros(F, 0),
+        fmatrix.zeros(F, 3),
+        fmatrix.identity(F, 4),
+        fmatrix.block_diagonal([c, c]),
+        M(F, coupled),
+        _jordan(F, 1, 4),
+        fmatrix.block_diagonal([_jordan(F, 1, 3), _jordan(F, 1, 1),
+                                _jordan(F, x, 2)]),
+        fmatrix.block_diagonal([_jordan(F, 0, 2), _jordan(F, x, 1)]),
+    ]
+    for d in (2, 3, 5):
+        rows = [[rng.randrange(F.q) for _ in range(d)] for _ in range(d - 1)]
+        cases.append(M(F, rows + [rows[0]]))          # singular
+        cases.append(_random_matrix(F, rng, d))
+    conjugated = []
+    for g in cases[3:]:
+        p = _random_invertible(F, rng, g.nrows)
+        conjugated.append(p * g * p.inverse())
+    return cases + conjugated
+
+
+def test_min_poly_is_minimal():
+    rng = SplitMix64(2718)
+    for F in (F2, F3, F4, F9, F251):
+        for g in _min_poly_cases(F, rng):
+            d = g.nrows
+            mp = fmatrix.min_poly(g)
+            assert mp.coeffs[-1] == 1
+            assert (fmatrix.char_poly(g) % mp).is_zero()
+            assert _eval_at(mp, g) == fmatrix.zeros(F, d)
+            for f, _ in fpoly.factor(mp).factors:
+                assert _eval_at(mp // f, g) != fmatrix.zeros(F, d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
 import pytest
 
-from stingray._intmath import (SplitMix64, factorize, is_prime,
+from stingray._intmath import (SplitMix64, factorize, iroot, is_prime,
                                is_prime_power, is_probable_prime)
 
 import oracles
@@ -48,6 +48,18 @@ def test_is_prime_power():
     assert is_prime_power(12) is None
     assert is_prime_power(1) is None
     assert is_prime_power(2 ** 31 - 1) == (2 ** 31 - 1, 1)
+
+
+def test_iroot_exact_beyond_float_range():
+    # a float seed overflows here; the root must stay exact integer work
+    assert is_prime_power(3 ** 700) == (3, 700)
+    assert iroot(10 ** 400, 2) == 10 ** 200
+    assert iroot(10 ** 400 - 1, 2) == 10 ** 200 - 1
+    assert iroot(10 ** 400, 400) == 10
+    for n in (10 ** 400 - 1, 10 ** 400, 10 ** 400 + 1):
+        for k in (2, 3, 7, 399, 400, 401, 1328, 1329, 1330):
+            r = iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
 
 
 def test_splitmix_deterministic():

@@ -89,7 +89,10 @@ def test_set_backend_validation():
 def test_env_flag_selects_numpy_backend():
     code = ("from stingray import _kernels; "
             "print(_kernels.backend())")
-    env = dict(os.environ, STINGRAY_KERNELS="numpy")
+    # the child must import the same package as this process
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, STINGRAY_KERNELS="numpy", PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "numpy"
