@@ -151,21 +151,25 @@ def is_stingray_oracle(g, e):
     restriction: it is irreducible exactly when the minimal polynomial is
     irreducible of degree e.  Neither min_poly nor fpoly.factor is called,
     so the oracle shares no factorization with classify_element.
+
+    Singular g raises Singular.  When the checks pass, V is the direct sum
+    of ker(g-1), where g = 1, and the invariant im(g-1), so det g is the
+    determinant of the restriction, read off its characteristic polynomial;
+    otherwise the rank of g decides.
     """
     d = g.nrows
     F = g.field
-    if fmatrix.char_poly(g).coeffs[0] == 0:
-        raise Singular("matrix is singular")
     gm1 = g - fmatrix.identity(F, d)
     fix = fmatrix.kernel(gm1)
     w = fmatrix.image(gm1)
-    if fix.dim != d - e or w.dim != e:
+    if (fix.dim == d - e and w.dim == e and fix.intersect(w).dim == 0
+            and w.is_invariant(g)):
+        cp = fmatrix.char_poly(fmatrix.restrict(g, w))
+        if cp.coeffs[0] != 0:
+            return fpoly.is_irreducible(cp)
+    elif g.rank() == d:
         return False
-    if fix.intersect(w).dim != 0:
-        return False
-    if not w.is_invariant(g):
-        return False
-    return fpoly.is_irreducible(fmatrix.char_poly(fmatrix.restrict(g, w)))
+    raise Singular("matrix is singular")
 
 
 def construct_stingray(q, d, r=None, det_one=False):

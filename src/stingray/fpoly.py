@@ -220,7 +220,12 @@ def powmod(f, e, mod):
 
 
 def is_irreducible(f):
-    """Rabin's criterion over GF(q)."""
+    """Rabin's criterion over GF(q): f of degree n is irreducible iff
+    x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n.
+
+    Both are read off one chain h_i = x^(q^i) mod f, h_(i+1) = h_i^q, so
+    the work is that of the single power x^(q^n).
+    """
     n = f.degree
     if n <= 0:
         return False
@@ -229,14 +234,14 @@ def is_irreducible(f):
     F = f.field
     q = F.q
     f = f.monic()
-    x = x_poly(F)
-    if (powmod(x, q ** n, f) - x % f).is_zero():
-        for ell in factorize(n)[0]:
-            g = gcd(powmod(x, q ** (n // ell), f) - x % f, f)
-            if g.degree >= 1:
-                return False
-        return True
-    return False
+    x = x_poly(F) % f
+    checks = {n // ell for ell in factorize(n)[0]}
+    h = x
+    for i in range(1, n + 1):
+        h = powmod(h, q, f)
+        if i in checks and gcd(h - x, f).degree >= 1:
+            return False
+    return (h - x).is_zero()
 
 
 def _pth_root(f):

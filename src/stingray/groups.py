@@ -2,12 +2,20 @@
 used throughout: deleted permutation modules of alternating groups, the
 SL2(q) family (natural, symmetric cube, twisted tensor), and classical
 generator sets, plus the group-level algorithms (spinning, a Norton-style
-irreducibility test, product-replacement random elements, and a
-deterministic Schreier-Sims order computation on vector orbits).
+irreducibility test, product-replacement random elements, and an exact
+group order).
 
 Permutations are tuples of 0-indexed images; perm_mul(s, t) applies s
 first, so all module maps satisfy map(perm_mul(s, t)) = map(s) * map(t)
 under the package's row-vector action.
+
+group_order works in the permutation domain: each generator is mapped
+once, by one matrix product over all points, to an integer permutation of
+the vectors of GF(q)^d or of its lines, and a deterministic Schreier-Sims
+runs on those permutations.  Transversals are Schreier vectors walked with
+cached generator inverses, and base points are basis vectors (or, for
+lines, the points of a projective frame), so no matrix is multiplied or
+inverted after the conversion.
 """
 
 import math
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ffield, fmatrix
+from . import _kernels, ffield, fmatrix
 from ._intmath import SplitMix64
 from .errors import (ActionTooLarge, BadTwist, CharTooSmallForSymcube,
                      DegreeTooSmall, DimensionMismatch, OddDimensionSymplectic,
@@ -569,159 +577,259 @@ def is_irreducible(grp, seed=DEFAULT_SEED, max_rounds=64):
                                 rounds=max_rounds)
 
 
-# --- group order via a stabilizer chain on vector orbits ---
+# --- group order: Schreier-Sims on the induced permutation action ---
 
 VECTORS = "vectors"
 PROJECTIVE = "projective"
 
+# Matrix entries per block when mapping points through matrices.
+_BLOCK = 1 << 16
 
-def _make_action(grp, action):
-    F = grp.field
+
+def _matmul(F, A, B):
+    if F.ctx is not None:
+        return _kernels.matmul(F.ctx, A, B)
+    return fmatrix._py_matmul(F, A, B)
+
+
+def _image_blocks(F, d, codes, block):
+    """Encodings of v * block for the vectors v with the given encodings.
+
+    A vector v is encoded as sum v[i] q^i, and block is d x (k*d): k
+    matrices side by side.  Yields (lo, hi, enc) in slices of codes, with
+    enc[r, m] the encoding of the image of codes[lo + r] under matrix m.
+    """
     q = F.q
-    d = grp.dim
+    k = block.shape[1] // d
+    weights = q ** np.arange(d, dtype=np.int64)
+    step = max(1, _BLOCK // (d * k))
+    for lo in range(0, codes.size, step):
+        chunk = codes[lo:lo + step]
+        vecs = chunk[:, None] // weights % q
+        img = _matmul(F, vecs, block).reshape(chunk.size, k, d)
+        yield lo, lo + chunk.size, img @ weights
 
-    def decode(enc):
-        v = np.zeros(d, dtype=np.int64)
-        for i in range(d):
-            v[i] = enc % q
-            enc //= q
-        return v
 
-    def encode(v):
-        enc = 0
-        for i in range(d - 1, -1, -1):
-            enc = enc * q + int(v[i])
-        return enc
+def _point_set(F, d, action):
+    """The points of the action, a table from vector encodings to them, and
+    a frame.
 
+    Returns (reps, index, frame).  reps holds the sorted encodings of one
+    vector per point, and index[enc] is the point of the vector with
+    encoding enc (-1 for the zero vector under PROJECTIVE).  A point is an
+    orbit of a scalar group S on vectors: S = {1} for VECTORS, so every
+    vector is a point, and S = F* for PROJECTIVE, where a line is
+    represented by its vector whose first nonzero coordinate is 1.  The
+    table is filled by scaling every representative by every element of S.
+
+    frame lists the points of the basis vectors e_i, plus that of their sum
+    under PROJECTIVE.  A matrix that fixes them all fixes every point (it
+    is diagonal, and then scalar), so a permutation induced by a matrix is
+    the identity as soon as it fixes the frame.
+    """
+    q = F.q
+    basis = q ** np.arange(d, dtype=np.int64)
     if action == VECTORS:
-        def act(enc, g):
-            return encode(fmatrix.apply_row(decode(enc), g))
-        return act, encode, decode
-    if action == PROJECTIVE:
-        def normalize(v):
-            for i in range(d):
-                if v[i]:
-                    c = F.inv_enc(int(v[i]))
-                    if c != 1:
-                        for j in range(d):
-                            v[j] = F.mul_enc(c, int(v[j]))
-                    return v
-            return v
+        reps = np.arange(q ** d, dtype=np.int64)
+        scalars = np.ones(1, dtype=np.int64)
+        frame = basis
+    elif action == PROJECTIVE:
+        reps = np.sort(np.concatenate([
+            q ** i * (1 + q * np.arange(q ** (d - 1 - i), dtype=np.int64))
+            for i in range(d)]))
+        scalars = np.arange(1, q, dtype=np.int64)
+        frame = np.append(basis, basis.sum())
+    else:
+        raise ValueError("action must be %r or %r" % (VECTORS, PROJECTIVE))
+    index = np.full(q ** d, -1, dtype=np.intp)
+    diag = np.arange(d)
+    step = max(1, _BLOCK // (d * d))
+    for s in range(0, scalars.size, step):
+        lams = scalars[s:s + step]
+        block = np.zeros((d, lams.size, d), dtype=np.int64)
+        block[diag, :, diag] = lams     # lam * I for each lam, side by side
+        for lo, hi, enc in _image_blocks(F, d, reps, block.reshape(d, -1)):
+            index[enc] = np.arange(lo, hi)[:, None]
+    return reps, index, np.unique(index[frame])
 
-        def act(enc, g):
-            return encode(normalize(fmatrix.apply_row(decode(enc), g)))
-        return act, lambda v: encode(normalize(v)), decode
-    raise ValueError("action must be %r or %r" % (VECTORS, PROJECTIVE))
+
+def _point_perm(F, d, reps, index, g):
+    """The permutation of the points induced by the matrix g."""
+    perm = np.empty(reps.size, dtype=np.intp)
+    for lo, hi, enc in _image_blocks(F, d, reps, g.arr):
+        perm[lo:hi] = index[enc[:, 0]]
+    return perm
 
 
 class _Level:
-    __slots__ = ("beta", "gens", "tr")
+    """One base point with its orbit under the strong generators that fix
+    every earlier base point.
 
-    def __init__(self, beta):
-        self.beta = beta
+    The base point is frame[slot].  sv is the Schreier vector: sv[x] is the
+    generator that first reached orbit point x (x = y^s for the orbit point
+    y = x^(s^-1)), -2 at the base point and -1 off the orbit.  orbit lists
+    the orbit in the order it was found, and done[c] counts its points
+    whose Schreier generators for gens[c] have been sifted.
+    """
+    __slots__ = ("beta", "slot", "gens", "done", "sv", "orbit")
+
+    def __init__(self, frame, slot, n):
+        self.beta = int(frame[slot])
+        self.slot = slot
         self.gens = []
-        self.tr = {}
+        self.done = []
+        self.sv = np.full(n, -1, dtype=np.intp)
+        self.sv[self.beta] = -2
+        self.orbit = np.array([self.beta], dtype=np.intp)
 
 
-def _sgens(levels, i):
-    """Strong generators fixing the first i base points: those inserted at
-    level i or deeper."""
-    return [g for lvl in levels[i:] for g in lvl.gens]
+class _StabChain:
+    """Incremental Schreier-Sims on the permutations of range(n) induced by
+    matrices, with base points taken from the frame of _point_set.
 
+    A permutation is an intp array of images, and s[t] applies t first,
+    then s.  Strong generators and their inverses are kept whole.  Every
+    other element is carried as its images of the frame points only: that
+    determines it, and composing it with a generator s is then s[t] on a
+    few entries.  Transversal elements are never stored; they are words
+    read off the Schreier vectors.  The whole form of an element is
+    computed only for a residue that becomes a new strong generator.
+    """
 
-def _rebuild_orbit(level, act, identity, gens):
-    level.tr = {level.beta: identity}
-    queue = [level.beta]
-    while queue:
-        pt = queue.pop()
-        u = level.tr[pt]
-        for s in gens:
-            p2 = act(pt, s)
-            if p2 not in level.tr:
-                level.tr[p2] = u * s
-                queue.append(p2)
+    def __init__(self, n, frame):
+        self.ident = np.arange(n, dtype=np.intp)
+        self.frame = frame
+        self.perms = []
+        self.invs = []
+        self.levels = []
 
+    def start(self, whole):
+        return self.ident if whole else self.frame
 
-def _sift(levels, g, act, start=0):
-    for i in range(start, len(levels)):
-        lvl = levels[i]
-        p = act(lvl.beta, g)
-        u = lvl.tr.get(p)
-        if u is None:
-            return g, i
-        g = g * u.inverse()
-    return g, len(levels)
+    def is_identity(self, g, whole=False):
+        return g.tobytes() == self.start(whole).tobytes()
+
+    def transversal(self, lvl, x, whole=False):
+        """The element taking lvl.beta to x along the Schreier vector."""
+        word = []
+        while x != lvl.beta:
+            j = lvl.sv[x]
+            word.append(j)
+            x = self.invs[j][x]
+        u = self.start(whole)
+        for j in reversed(word):
+            u = self.perms[j][u]
+        return u
+
+    def sift(self, g, start=0, whole=False):
+        """Strip g through levels start..; returns (residue, level) where
+        level is the first one whose orbit misses the base point's image,
+        or len(levels) when every level was passed."""
+        for i in range(start, len(self.levels)):
+            lvl = self.levels[i]
+            sv = lvl.sv
+            x = g[lvl.beta if whole else lvl.slot]
+            if sv[x] == -1:
+                return g, i
+            while x != lvl.beta:
+                inv = self.invs[sv[x]]
+                g = inv[g]
+                x = inv[x]
+        return g, len(self.levels)
+
+    def insert(self, g, k):
+        """Add the whole non-identity g, which fixes the first k base
+        points, as a strong generator at level k and extend the orbits of
+        levels <= k."""
+        if k == len(self.levels):
+            slot = int(np.flatnonzero(g[self.frame] != self.frame)[0])
+            self.levels.append(_Level(self.frame, slot, g.size))
+        j = len(self.perms)
+        self.perms.append(g)
+        inv = np.empty_like(g)
+        inv[g] = self.ident
+        self.invs.append(inv)
+        for lvl in self.levels[:k + 1]:
+            lvl.gens.append(j)
+            lvl.done.append(0)
+            # the new generator on the old orbit, then every generator on
+            # each layer of new points
+            frontier = lvl.orbit
+            gens = [j]
+            while frontier.size:
+                layer = []
+                for t in gens:
+                    img = self.perms[t][frontier]
+                    fresh = img[lvl.sv[img] == -1]
+                    lvl.sv[fresh] = t
+                    layer.append(fresh)
+                frontier = np.concatenate(layer)
+                lvl.orbit = np.concatenate((lvl.orbit, frontier))
+                gens = lvl.gens
+
+    def add(self, g):
+        """Sift the whole g and insert its residue unless it is trivial."""
+        residue, k = self.sift(g, whole=True)
+        if not self.is_identity(residue, whole=True):
+            self.insert(residue, k)
+            return k
+        return None
+
+    def check_level(self, i):
+        """Sift the unchecked Schreier generators of level i through the
+        levels below it.  Returns the level of the first non-trivial residue,
+        after inserting it, or None when they all sift to the identity."""
+        lvl = self.levels[i]
+        a = min(lvl.done)
+        while a < len(lvl.orbit):
+            x = lvl.orbit[a]
+            u = None
+            for c, j in enumerate(lvl.gens):
+                if lvl.done[c] != a:
+                    continue
+                lvl.done[c] = a + 1
+                s = self.perms[j]
+                if lvl.sv[s[x]] == j:
+                    continue        # a Schreier-tree edge: u_x s = u_(x^s)
+                if u is None:
+                    u = self.transversal(lvl, x)
+                if not self.is_identity(self.sift(s[u], i)[0]):
+                    return self.add(s[self.transversal(lvl, x, whole=True)])
+            a += 1
+        return None
 
 
 def group_order(grp, action=VECTORS, seed=DEFAULT_SEED):
-    """Exact order by an incremental Schreier-Sims on the vector action.
+    """Exact order of the group induced on vectors or on projective points.
 
+    Each generator is turned into a permutation of the point set (see
+    _point_set) by one matrix product; the rest is Schreier-Sims on those
+    permutations (see _StabChain), with no further matrix arithmetic.
     Every Schreier generator at every level is verified to sift to the
-    identity before the chain is trusted, so the returned order is exact
-    and deterministic; the seed only influences internal processing order.
+    identity before the chain is trusted, so the order is exact.  Memory
+    is O(q^d) per base point and per strong generator.  Raises
+    ActionTooLarge when q^d exceeds 2^24.
+
+    The seed is accepted for interface compatibility and ignored: the
+    computation is deterministic.
     """
     F = grp.field
     d = grp.dim
     if F.q ** d > 1 << 24:
         raise ActionTooLarge("q^d = %d exceeds the 2^24 action cap" % F.q ** d)
-    act, encode, decode = _make_action(grp, action)
-    ident = fmatrix.identity(F, d)
-    levels = []
-
-    def moved_point(g):
-        for enc in range(1, F.q ** d):
-            v = decode(enc)
-            if action == PROJECTIVE:
-                if encode(v.copy()) != enc:
-                    continue
-            if act(enc, g) != enc:
-                return enc
-        return None
-
-    def insert(g, k):
-        if g == ident:
-            return False
-        if k == len(levels):
-            beta = moved_point(g)
-            if beta is None:
-                # acts trivially on every point (a scalar under PROJECTIVE);
-                # it contributes nothing to the induced permutation group
-                return False
-            levels.append(_Level(beta))
-        levels[k].gens.append(g)
-        # orbits at level j <= k all use this generator
-        for j in range(k + 1):
-            _rebuild_orbit(levels[j], act, ident, _sgens(levels, j))
-        return True
-
+    if d == 0:
+        return 1            # GF(q)^0 has a single point
+    reps, index, frame = _point_set(F, d, action)
+    chain = _StabChain(reps.size, frame)
     for g in grp.generators:
-        residue, k = _sift(levels, g, act)
-        insert(residue, k)
-
-    i = len(levels) - 1
+        chain.add(_point_perm(F, d, reps, index, g))
+    i = len(chain.levels) - 1
     while i >= 0:
-        lvl = levels[i]
-        clean = True
-        for pt in list(lvl.tr):
-            u = lvl.tr[pt]
-            for s in _sgens(levels, i):
-                p2 = act(pt, s)
-                sg = u * s * lvl.tr[p2].inverse()
-                if sg == ident:
-                    continue
-                residue, k = _sift(levels, sg, act, i + 1)
-                if residue != ident and insert(residue, k):
-                    clean = False
-                    i = k
-                    break
-            if not clean:
-                break
-        if clean:
-            i -= 1
-
+        k = chain.check_level(i)
+        i = i - 1 if k is None else k
     order = 1
-    for lvl in levels:
-        order *= len(lvl.tr)
+    for lvl in chain.levels:
+        order *= len(lvl.orbit)
     return order
 
 

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive pure Python over prime fields:
 trial-division factoring, Leibniz-expansion characteristic polynomials,
-breadth-first group closures. No imports from the package under test,
-so agreement between the two is evidence rather than tautology.
+breadth-first group closures. The one exception, the induced point
+actions, also runs over GF(p^a) by polynomial arithmetic. No imports
+from the package under test, so agreement between the two is evidence
+rather than tautology.
 
 Matrices are tuples of tuples of ints reduced mod p. Polynomials are
 tuples of ascending coefficients mod p.
@@ -200,3 +202,61 @@ def sp_order(d, q):
     for i in range(1, m + 1):
         out *= q ** (2 * i) - 1
     return out
+
+
+# --- GF(p^a) and induced point actions ---
+
+def _digits(x, p, a):
+    return [x // p ** i % p for i in range(a)]
+
+
+def gf_add(x, y, p, a):
+    """Sum of two GF(p^a) encodings: base-p digits add mod p."""
+    return sum((u + v) % p * p ** i
+               for i, (u, v) in enumerate(zip(_digits(x, p, a),
+                                               _digits(y, p, a))))
+
+
+def gf_mul(x, y, p, modulus):
+    """Product of two GF(p^a) encodings. An encoding's base-p digits are
+    the ascending coefficients of a polynomial in a root of the monic
+    `modulus` (ascending too); modulus None means the prime field."""
+    if modulus is None:
+        return x * y % p
+    a = len(modulus) - 1
+    prod = _poly_mul(_digits(x, p, a), _digits(y, p, a), p)
+    return sum(c * p ** i for i, c in enumerate(_poly_mod(prod, modulus, p)))
+
+
+def induced_perms(gens, p, modulus=None, projective=False):
+    """The permutations that row-action matrices over GF(p^a) induce on
+    the vectors of GF(p^a)^d, or with projective on its lines (each
+    represented by its vector whose first nonzero entry is 1). Points are
+    numbered in itertools.product order; perm[i] is the image of point i."""
+    a = 1 if modulus is None else len(modulus) - 1
+    q = p ** a
+    d = len(gens[0])
+    inverse = {x: y for x in range(1, q) for y in range(1, q)
+               if gf_mul(x, y, p, modulus) == 1}
+
+    def normalize(v):
+        if not projective:
+            return v
+        lead = next(c for c in v if c)
+        return tuple(gf_mul(inverse[lead], c, p, modulus) for c in v)
+
+    points = [v for v in itertools.product(range(q), repeat=d)
+              if not projective or (any(v) and normalize(v) == v)]
+    where = {v: i for i, v in enumerate(points)}
+    perms = []
+    for g in gens:
+        perm = []
+        for v in points:
+            img = [0] * d
+            for i in range(d):
+                for j in range(d):
+                    img[j] = gf_add(img[j], gf_mul(v[i], g[i][j], p, modulus),
+                                    p, a)
+            perm.append(where[normalize(tuple(img))])
+        perms.append(perm)
+    return perms

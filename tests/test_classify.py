@@ -107,6 +107,18 @@ def test_oracle_does_not_factor(monkeypatch):
         assert classify.is_stingray_oracle(img, e) is want
 
 
+def test_oracle_rejects_singular(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not factor polynomials")
+
+    monkeypatch.setattr(fmatrix, "min_poly", refuse)
+    monkeypatch.setattr(fpoly, "factor", refuse)
+    monkeypatch.setattr(fpoly, "factor_cached", refuse)
+    for g in (fmatrix.zeros(F2, 4), fmatrix.diagonal(F3, [1, 2, 0, 1])):
+        with pytest.raises(Singular):
+            classify.is_stingray_oracle(g, 2)
+
+
 def test_construct_stingray_canonical_cases():
     for d, q in ((4, 4), (8, 2), (8, 3), (10, 3)):
         g = classify.construct_stingray(q, d)

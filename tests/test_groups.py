@@ -128,7 +128,8 @@ def test_twist_validation():
 # --- classical generators ---
 
 def test_gl_orders():
-    cases = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
+    cases = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (6, 2),
+             (5, 3)]
     for d, q in cases:
         grp = groups.classical_generators("GL", d, q)
         assert groups.group_order(grp) == oracles.gl_order(d, q), (d, q)
@@ -190,6 +191,39 @@ def test_projective_orders():
     assert groups.group_order(sl29, action=groups.PROJECTIVE) == 360
     gl25 = groups.classical_generators("GL", 2, 5)
     assert groups.group_order(gl25, action=groups.PROJECTIVE) == 120
+
+
+def test_group_order_never_inverts(monkeypatch):
+    cases = [(groups.classical_generators("GL", 4, 3), groups.VECTORS,
+              oracles.gl_order(4, 3)),
+             (groups.classical_generators("SP", 4, 3), groups.VECTORS,
+              oracles.sp_order(4, 3)),
+             (groups.classical_generators("SL", 2, 9), groups.PROJECTIVE,
+              oracles.sl_order(2, 9) // 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group_order must not invert or row-reduce")
+
+    monkeypatch.setattr(fmatrix.DenseMatrix, "inverse", refuse)
+    monkeypatch.setattr(fmatrix, "_rref", refuse)
+    for grp, action, want in cases:
+        assert groups.group_order(grp, action=action) == want, grp.label
+
+
+def test_group_order_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+    cases = (("GL", 3, 2, groups.VECTORS), ("SL", 2, 5, groups.VECTORS),
+             ("GL", 2, 4, groups.VECTORS), ("GL", 2, 5, groups.PROJECTIVE))
+    for family, d, q, action in cases:
+        grp = groups.classical_generators(family, d, q)
+        F = grp.field
+        perms = oracles.induced_perms([_as_rows(g) for g in grp.generators],
+                                      F.p, F.modulus,
+                                      projective=action == groups.PROJECTIVE)
+        want = PermutationGroup([Permutation(p) for p in perms]).order()
+        assert groups.group_order(grp, action=action) == want, \
+            (family, d, q, action)
 
 
 def test_action_too_large():
