@@ -1,375 +1,104 @@
-"""Hot linear-algebra kernels over GF(q), numba-jitted with a numpy fallback.
+"""Dense linear-algebra kernels over GF(q).
 
 Matrices are int64 numpy arrays of integer-encoded field elements
-(encoding sum c_i p^i).  A field is described to the kernels by a FieldCtx:
+(encoding sum c_i p^i).  Each kernel -- matrix multiply, reduced row
+echelon form, characteristic polynomial -- has one body and takes the
+FieldSpec itself as the description of the field.  The field cases live
+only in the elementwise primitives add, neg and mul:
 
-  kind 0  prime field; arithmetic is mod-p on the encodings directly
-  kind 1  extension field with exp/log tables (multiplication by discrete
-          log, addition digitwise in base p, xor when p = 2)
+  prime field       arithmetic mod p on the encodings
+  p = 2 extension   xor addition
+  odd extension     digitwise addition in base p
 
-Backend selection: environment variable STINGRAY_KERNELS=numpy forces the
-pure-numpy path; the default is the numba path when numba imports.  Both
-paths implement identical semantics; benchmarks/bench_kernels.py times them
-against each other.
+Extension-field products go through the field's exp/log tables; a field
+above ffield.TABLE_CAP has none, and mul multiplies each nonzero pair by
+FieldSpec.mul_enc instead.  The characteristic polynomial works on Python
+ints with the FieldSpec scalar methods.
 """
-
-import os
-from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - environment without numba
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-_BACKEND = "numba" if _NUMBA_OK and os.environ.get("STINGRAY_KERNELS", "numba") != "numpy" else "numpy"
-
 
 def backend():
-    return _BACKEND
+    return "numpy"
 
 
-def set_backend(name):
-    """Switch kernel backend at runtime ("numba" or "numpy"); returns old name."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy'")
-    if name == "numba" and not _NUMBA_OK:
-        raise ValueError("numba is not available")
-    old = _BACKEND
-    _BACKEND = name
-    return old
-
-
-class FieldCtx(NamedTuple):
-    kind: int
-    p: int
-    a: int
-    q: int
-    exp: np.ndarray  # int64; for kind 1: exp[i] = g^i, length 2(q-1); dummy for kind 0
-    log: np.ndarray  # int64; for kind 1: log[x], log[0] = -1, length q; dummy for kind 0
-
-
-def prime_ctx(p):
-    dummy = np.zeros(1, dtype=np.int64)
-    return FieldCtx(0, p, 1, p, dummy, dummy)
-
-
-def ext_ctx(p, a, q, exp, log):
-    return FieldCtx(1, p, a, q, np.ascontiguousarray(exp, dtype=np.int64),
-                    np.ascontiguousarray(log, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# numba scalar helpers
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, inline="always")
-def _k_add(x, y, kind, p, a):
-    if kind == 0:
-        return (x + y) % p
-    if p == 2:
-        return x ^ y
-    s = 0
-    mult = 1
-    xx = x
-    yy = y
-    for _ in range(a):
-        s += ((xx + yy) % p) * mult
-        xx //= p
-        yy //= p
-        mult *= p
-    return s
-
-
-@njit(cache=True, inline="always")
-def _k_sub(x, y, kind, p, a):
-    if kind == 0:
-        return (x - y) % p
-    if p == 2:
-        return x ^ y
-    s = 0
-    mult = 1
-    xx = x
-    yy = y
-    for _ in range(a):
-        s += ((xx - yy) % p) * mult
-        xx //= p
-        yy //= p
-        mult *= p
-    return s
-
-
-@njit(cache=True, inline="always")
-def _k_mul(x, y, kind, p, exp, log):
-    if kind == 0:
-        return x * y % p
-    if x == 0 or y == 0:
-        return 0
-    return exp[log[x] + log[y]]
-
-
-@njit(cache=True, inline="always")
-def _k_inv(x, kind, p, qm1, exp, log):
-    if kind == 0:
-        e = p - 2
-        r = 1
-        b = x % p
-        while e:
-            if e & 1:
-                r = r * b % p
-            b = b * b % p
-            e >>= 1
-        return r
-    return exp[(qm1 - log[x]) % qm1]
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _k_matmul(A, B, kind, p, a, exp, log):
-    m, kk = A.shape
-    n = B.shape[1]
-    C = np.zeros((m, n), dtype=np.int64)
-    if kind == 0:
-        for i in range(m):
-            for j in range(n):
-                s = 0
-                for t in range(kk):
-                    s = (s + A[i, t] * B[t, j]) % p
-                C[i, j] = s
-    else:
-        for i in range(m):
-            for j in range(n):
-                s = 0
-                for t in range(kk):
-                    x = A[i, t]
-                    y = B[t, j]
-                    if x != 0 and y != 0:
-                        s = _k_add(s, exp[log[x] + log[y]], kind, p, a)
-                C[i, j] = s
-    return C
-
-
-@njit(cache=True)
-def _k_rref(M, limit, kind, p, a, qm1, exp, log):
-    R = M.copy()
-    m, n = R.shape
-    cap = m if m < limit else limit
-    pivots = np.full(cap if cap > 0 else 1, -1, dtype=np.int64)
-    rank = 0
-    for col in range(limit):
-        if rank == m:
-            break
-        pr = -1
-        for i in range(rank, m):
-            if R[i, col] != 0:
-                pr = i
-                break
-        if pr == -1:
-            continue
-        if pr != rank:
-            for j in range(n):
-                tmp = R[rank, j]
-                R[rank, j] = R[pr, j]
-                R[pr, j] = tmp
-        piv = R[rank, col]
-        if piv != 1:
-            inv = _k_inv(piv, kind, p, qm1, exp, log)
-            for j in range(col, n):
-                R[rank, j] = _k_mul(R[rank, j], inv, kind, p, exp, log)
-        for i in range(m):
-            if i != rank and R[i, col] != 0:
-                f = R[i, col]
-                for j in range(col, n):
-                    prod = _k_mul(f, R[rank, j], kind, p, exp, log)
-                    R[i, j] = _k_sub(R[i, j], prod, kind, p, a)
-        pivots[rank] = col
-        rank += 1
-    return R, pivots, rank
-
-
-@njit(cache=True)
-def _k_charpoly(M, kind, p, a, qm1, exp, log):
-    d = M.shape[0]
-    H = M.copy()
-    # similarity reduction to upper Hessenberg form
-    for j in range(d - 2):
-        pr = -1
-        for i in range(j + 1, d):
-            if H[i, j] != 0:
-                pr = i
-                break
-        if pr == -1:
-            continue
-        if pr != j + 1:
-            for t in range(d):
-                tmp = H[j + 1, t]
-                H[j + 1, t] = H[pr, t]
-                H[pr, t] = tmp
-            for t in range(d):
-                tmp = H[t, j + 1]
-                H[t, j + 1] = H[t, pr]
-                H[t, pr] = tmp
-        inv = _k_inv(H[j + 1, j], kind, p, qm1, exp, log)
-        for i in range(j + 2, d):
-            if H[i, j] != 0:
-                f = _k_mul(H[i, j], inv, kind, p, exp, log)
-                for t in range(d):
-                    prod = _k_mul(f, H[j + 1, t], kind, p, exp, log)
-                    H[i, t] = _k_sub(H[i, t], prod, kind, p, a)
-                for t in range(d):
-                    prod = _k_mul(f, H[t, i], kind, p, exp, log)
-                    H[t, j + 1] = _k_add(H[t, j + 1], prod, kind, p, a)
-    # char polys of leading principal blocks of the Hessenberg form
-    polys = np.zeros((d + 1, d + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    for k in range(1, d + 1):
-        hkk = H[k - 1, k - 1]
-        for c in range(k):
-            polys[k, c + 1] = polys[k - 1, c]
-        for c in range(k):
-            prod = _k_mul(hkk, polys[k - 1, c], kind, p, exp, log)
-            polys[k, c] = _k_sub(polys[k, c], prod, kind, p, a)
-        beta = 1
-        for i in range(1, k):
-            beta = _k_mul(beta, H[k - i, k - i - 1], kind, p, exp, log)
-            if beta == 0:
-                break
-            coeff = _k_mul(H[k - 1 - i, k - 1], beta, kind, p, exp, log)
-            if coeff == 0:
-                continue
-            for c in range(k - i):
-                prod = _k_mul(coeff, polys[k - 1 - i, c], kind, p, exp, log)
-                polys[k, c] = _k_sub(polys[k, c], prod, kind, p, a)
-    return polys[d, :].copy()
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback: identical semantics
-# ---------------------------------------------------------------------------
-
-def _s_add(ctx, x, y):
-    if ctx.kind == 0:
-        return (x + y) % ctx.p
-    if ctx.p == 2:
-        return x ^ y
-    s = 0
-    mult = 1
-    for _ in range(ctx.a):
-        s += ((x + y) % ctx.p) * mult
-        x //= ctx.p
-        y //= ctx.p
-        mult *= ctx.p
-    return s
-
-
-def _s_sub(ctx, x, y):
-    if ctx.kind == 0:
-        return (x - y) % ctx.p
-    if ctx.p == 2:
-        return x ^ y
-    s = 0
-    mult = 1
-    for _ in range(ctx.a):
-        s += ((x - y) % ctx.p) * mult
-        x //= ctx.p
-        y //= ctx.p
-        mult *= ctx.p
-    return s
-
-
-def _s_mul(ctx, x, y):
-    if ctx.kind == 0:
-        return x * y % ctx.p
-    if x == 0 or y == 0:
-        return 0
-    return int(ctx.exp[ctx.log[x] + ctx.log[y]])
-
-
-def _s_inv(ctx, x):
-    if ctx.kind == 0:
-        return pow(x, ctx.p - 2, ctx.p)
-    qm1 = ctx.q - 1
-    return int(ctx.exp[(qm1 - ctx.log[x]) % qm1])
-
-
-def _v_add(ctx, x, y):
-    if ctx.kind == 0:
-        return (x + y) % ctx.p
-    if ctx.p == 2:
+def add(F, x, y):
+    """Elementwise sum of two broadcastable encoding arrays."""
+    if F.a == 1:
+        return (x + y) % F.p
+    if F.p == 2:
         return np.bitwise_xor(x, y)
     s = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
     xx = np.array(np.broadcast_to(x, s.shape))
     yy = np.array(np.broadcast_to(y, s.shape))
     mult = 1
-    for _ in range(ctx.a):
-        s += ((xx + yy) % ctx.p) * mult
-        xx //= ctx.p
-        yy //= ctx.p
-        mult *= ctx.p
+    for _ in range(F.a):
+        s += ((xx + yy) % F.p) * mult
+        xx //= F.p
+        yy //= F.p
+        mult *= F.p
     return s
 
 
-def _v_neg(ctx, x):
-    if ctx.kind == 0:
-        return (-x) % ctx.p
-    if ctx.p == 2:
+def neg(F, x):
+    """Elementwise negation of an encoding array."""
+    if F.a == 1:
+        return (-x) % F.p
+    if F.p == 2:
         return x.copy()
     s = np.zeros_like(x)
     xx = x.copy()
     mult = 1
-    for _ in range(ctx.a):
-        s += ((-xx) % ctx.p) * mult
-        xx //= ctx.p
-        mult *= ctx.p
+    for _ in range(F.a):
+        s += ((-xx) % F.p) * mult
+        xx //= F.p
+        mult *= F.p
     return s
 
 
-def _v_mul(ctx, x, y):
-    if ctx.kind == 0:
-        return x * y % ctx.p
+def mul(F, x, y):
+    """Elementwise product of two broadcastable encoding arrays."""
+    if F.a == 1:
+        return x * y % F.p
     xb = np.broadcast_to(x, np.broadcast(x, y).shape)
     yb = np.broadcast_to(y, xb.shape)
     nz = (xb != 0) & (yb != 0)
     out = np.zeros(xb.shape, dtype=np.int64)
     if np.any(nz):
-        out[nz] = ctx.exp[ctx.log[xb[nz]] + ctx.log[yb[nz]]]
+        if F._log is not None:
+            out[nz] = F._exp[F._log[xb[nz]] + F._log[yb[nz]]]
+        else:
+            out[nz] = [F.mul_enc(int(u), int(v))
+                       for u, v in zip(xb[nz], yb[nz])]
     return out
 
 
-def _matmul_np(ctx, A, B):
-    m, kk = A.shape
-    n = B.shape[1]
-    if ctx.kind == 0:
-        p = ctx.p
-        if kk * (p - 1) * (p - 1) < (1 << 62):
-            return (A @ B) % p
-        C = np.zeros((m, n), dtype=np.int64)
-        for t in range(kk):
-            C = (C + A[:, t:t + 1] * B[t:t + 1, :]) % p
-        return C
-    C = np.zeros((m, n), dtype=np.int64)
+def matmul(F, A, B):
+    A = np.ascontiguousarray(A, dtype=np.int64)
+    B = np.ascontiguousarray(B, dtype=np.int64)
+    kk = A.shape[1]
+    if F.a == 1 and kk * (F.p - 1) * (F.p - 1) < (1 << 62):
+        return (A @ B) % F.p
+    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for t in range(kk):
-        C = _v_add(ctx, C, _v_mul(ctx, A[:, t:t + 1], B[t:t + 1, :]))
+        C = add(F, C, mul(F, A[:, t:t + 1], B[t:t + 1, :]))
     return C
 
 
-def _rref_np(ctx, M, limit):
-    R = M.copy()
-    m, n = R.shape
+def rref(F, M, limit=None):
+    """Reduced row echelon form.
+
+    Pivot search is restricted to the first `limit` columns (defaults to
+    all), which lets callers rref augmented blocks [M | I].  Returns
+    (R, pivot column list, rank).
+    """
+    R = np.array(M, dtype=np.int64, order="C")
+    if R.size == 0 or R.shape[0] == 0:
+        return R, [], 0
+    if limit is None:
+        limit = R.shape[1]
+    m = R.shape[0]
     pivots = []
     rank = 0
     for col in range(limit):
@@ -383,18 +112,23 @@ def _rref_np(ctx, M, limit):
             R[[rank, pr]] = R[[pr, rank]]
         piv = int(R[rank, col])
         if piv != 1:
-            R[rank] = _v_mul(ctx, R[rank], np.int64(_s_inv(ctx, piv)))
+            R[rank] = mul(F, R[rank], np.int64(F.inv_enc(piv)))
         others = np.nonzero(R[:, col])[0]
         others = others[others != rank]
         if others.size:
             f = R[others, col:col + 1]
-            R[others] = _v_add(ctx, R[others], _v_neg(ctx, _v_mul(ctx, f, R[rank:rank + 1, :])))
+            R[others] = add(F, R[others], neg(F, mul(F, f, R[rank:rank + 1, :])))
         pivots.append(col)
         rank += 1
-    return R, np.array(pivots + [-1] * max(0, 1 - len(pivots)), dtype=np.int64), rank
+    return R, pivots, rank
 
 
-def _charpoly_np(ctx, M):
+def charpoly(F, M):
+    """Ascending coefficients (d+1 ints) of det(tI - M).
+
+    Similarity reduction to upper Hessenberg form, then the recurrence for
+    the characteristic polynomials of its leading principal blocks.
+    """
     d = M.shape[0]
     H = [[int(x) for x in row] for row in M]
     for j in range(d - 2):
@@ -409,14 +143,14 @@ def _charpoly_np(ctx, M):
             H[j + 1], H[pr] = H[pr], H[j + 1]
             for t in range(d):
                 H[t][j + 1], H[t][pr] = H[t][pr], H[t][j + 1]
-        inv = _s_inv(ctx, H[j + 1][j])
+        inv = F.inv_enc(H[j + 1][j])
         for i in range(j + 2, d):
             if H[i][j] != 0:
-                f = _s_mul(ctx, H[i][j], inv)
+                f = F.mul_enc(H[i][j], inv)
                 for t in range(d):
-                    H[i][t] = _s_sub(ctx, H[i][t], _s_mul(ctx, f, H[j + 1][t]))
+                    H[i][t] = F.sub_enc(H[i][t], F.mul_enc(f, H[j + 1][t]))
                 for t in range(d):
-                    H[t][j + 1] = _s_add(ctx, H[t][j + 1], _s_mul(ctx, f, H[t][i]))
+                    H[t][j + 1] = F.add_enc(H[t][j + 1], F.mul_enc(f, H[t][i]))
     polys = [[1]]
     for k in range(1, d + 1):
         hkk = H[k - 1][k - 1]
@@ -425,56 +159,17 @@ def _charpoly_np(ctx, M):
         for c in range(k):
             cur[c + 1] = prev[c]
         for c in range(k):
-            cur[c] = _s_sub(ctx, cur[c], _s_mul(ctx, hkk, prev[c]))
+            cur[c] = F.sub_enc(cur[c], F.mul_enc(hkk, prev[c]))
         beta = 1
         for i in range(1, k):
-            beta = _s_mul(ctx, beta, H[k - i][k - i - 1])
+            beta = F.mul_enc(beta, H[k - i][k - i - 1])
             if beta == 0:
                 break
-            coeff = _s_mul(ctx, H[k - 1 - i][k - 1], beta)
+            coeff = F.mul_enc(H[k - 1 - i][k - 1], beta)
             if coeff == 0:
                 continue
             pki = polys[k - 1 - i]
             for c in range(k - i):
-                cur[c] = _s_sub(ctx, cur[c], _s_mul(ctx, coeff, pki[c]))
+                cur[c] = F.sub_enc(cur[c], F.mul_enc(coeff, pki[c]))
         polys.append(cur)
-    return np.array(polys[d], dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def matmul(ctx, A, B):
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    B = np.ascontiguousarray(B, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _k_matmul(A, B, ctx.kind, ctx.p, ctx.a, ctx.exp, ctx.log)
-    return _matmul_np(ctx, A, B)
-
-
-def rref(ctx, M, limit=None):
-    """Reduced row echelon form.
-
-    Pivot search is restricted to the first `limit` columns (defaults to
-    all), which lets callers rref augmented blocks [M | I].  Returns
-    (R, pivot column list, rank).
-    """
-    M = np.ascontiguousarray(M, dtype=np.int64)
-    if M.size == 0 or M.shape[0] == 0:
-        return M.copy(), [], 0
-    if limit is None:
-        limit = M.shape[1]
-    if _BACKEND == "numba":
-        R, piv, rank = _k_rref(M, limit, ctx.kind, ctx.p, ctx.a, ctx.q - 1, ctx.exp, ctx.log)
-        return R, [int(x) for x in piv[:rank]], int(rank)
-    R, piv, rank = _rref_np(ctx, M, limit)
-    return R, [int(x) for x in piv[:rank]], int(rank)
-
-
-def charpoly(ctx, M):
-    """Ascending coefficient vector (length d+1) of det(tI - M)."""
-    M = np.ascontiguousarray(M, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _k_charpoly(M, ctx.kind, ctx.p, ctx.a, ctx.q - 1, ctx.exp, ctx.log)
-    return _charpoly_np(ctx, M)
+    return polys[d]

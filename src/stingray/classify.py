@@ -145,12 +145,14 @@ def classify_element(g, e):
 def is_stingray_oracle(g, e):
     """Decomposition-based stingray test, independent of classify_element.
 
-    Checks dim ker(g-1) = d-e, dim im(g-1) = e, trivial intersection,
-    invariance of the image, and irreducibility of the restricted action.
-    The last is Rabin's test on the characteristic polynomial of the e x e
-    restriction: it is irreducible exactly when the minimal polynomial is
-    irreducible of degree e.  Neither min_poly nor fpoly.factor is called,
-    so the oracle shares no factorization with classify_element.
+    Checks dim ker(g-1) = d-e, dim im(g-1) = e, trivial intersection, and
+    irreducibility of the action restricted to the image.  The image is
+    invariant because g commutes with g-1 (restrict raises NotInvariant if
+    it were not).  Irreducibility is Rabin's test on the characteristic
+    polynomial of the e x e restriction: it is irreducible exactly when the
+    minimal polynomial is irreducible of degree e.  Neither min_poly nor
+    fpoly.factor is called, so the oracle shares no factorization with
+    classify_element.
 
     Singular g raises Singular.  When the checks pass, V is the direct sum
     of ker(g-1), where g = 1, and the invariant im(g-1), so det g is the
@@ -162,8 +164,7 @@ def is_stingray_oracle(g, e):
     gm1 = g - fmatrix.identity(F, d)
     fix = fmatrix.kernel(gm1)
     w = fmatrix.image(gm1)
-    if (fix.dim == d - e and w.dim == e and fix.intersect(w).dim == 0
-            and w.is_invariant(g)):
+    if fix.dim == d - e and w.dim == e and fix.intersect(w).dim == 0:
         cp = fmatrix.char_poly(fmatrix.restrict(g, w))
         if cp.coeffs[0] != 0:
             return fpoly.is_irreducible(cp)

@@ -2,10 +2,12 @@
 
 Elements are canonically encoded as integers sum c_i p^i with coefficient
 vector (c_0, ..., c_{a-1}); the encoding is the on-disk and in-matrix
-representation throughout the package.  Extension fields up to q <= 2^20
-get exp/log tables (built once per field and shared through an interning
-cache), which is what the matrix kernels consume; larger extension fields
-fall back to direct polynomial arithmetic per operation.
+representation throughout the package.  Extension fields up to
+q <= TABLE_CAP = 2^20 get exp/log tables (built once per field and shared
+through an interning cache); larger extension fields multiply by direct
+polynomial arithmetic per operation.  A FieldSpec is the only description
+of a field: the matrix kernels in _kernels take it as it is, and use its
+tables or its scalar methods.
 
 The modulus, when not supplied, is the lexicographically smallest monic
 irreducible of degree a over F_p, comparing ascending coefficient lists as
@@ -18,7 +20,6 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from ._intmath import factorize, is_prime, factorization_order_descend
 from .errors import (DegreeMismatch, DivisionByZero, FieldMismatch, NoEmbedding,
                      NotPrime, ReducibleModulus)
@@ -103,7 +104,9 @@ def _irreducible_mod_p(mod, p):
 
 
 def _smallest_irreducible(p, a):
-    for m in range(p ** a):
+    # m's most significant base-p digit is the constant term, so every m
+    # below p^(a-1) is divisible by x (a >= 2) and is skipped
+    for m in range(p ** (a - 1), p ** a):
         coeffs = tuple((m // p ** (a - 1 - i)) % p for i in range(a))
         cand = list(coeffs) + [1]
         if _irreducible_mod_p(cand, p):
@@ -114,7 +117,7 @@ def _smallest_irreducible(p, a):
 class FieldSpec:
     """The field GF(p^a).  Immutable; instances are interned by make_field."""
 
-    __slots__ = ("p", "a", "q", "modulus", "ctx", "_exp", "_log",
+    __slots__ = ("p", "a", "q", "modulus", "_exp", "_log",
                  "_q1_factors", "_gen_enc", "_embeddings")
 
     def __init__(self, p, a, modulus):
@@ -125,16 +128,9 @@ class FieldSpec:
         self._q1_factors = None
         self._gen_enc = None
         self._embeddings = {}
-        if a == 1:
-            self.ctx = _kernels.prime_ctx(p)
-            self._exp = self._log = None
-        elif self.q <= TABLE_CAP:
-            exp, log, gen = self._build_tables()
-            self._exp, self._log, self._gen_enc = exp, log, gen
-            self.ctx = _kernels.ext_ctx(p, a, self.q, exp, log)
-        else:
-            self.ctx = None
-            self._exp = self._log = None
+        self._exp = self._log = None
+        if a > 1 and self.q <= TABLE_CAP:
+            self._exp, self._log, self._gen_enc = self._build_tables()
 
     # -- construction helpers --
 
@@ -215,7 +211,19 @@ class FieldSpec:
         return s
 
     def sub_enc(self, x, y):
-        return self.add_enc(x, self.neg_enc(y))
+        p = self.p
+        if self.a == 1:
+            return (x - y) % p
+        if p == 2:
+            return x ^ y
+        s = 0
+        mult = 1
+        for _ in range(self.a):
+            s += ((x - y) % p) * mult
+            x //= p
+            y //= p
+            mult *= p
+        return s
 
     def neg_enc(self, x):
         p = self.p

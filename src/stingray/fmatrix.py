@@ -2,12 +2,11 @@
 
 A matrix g acts on row vectors by v |-> v g, so the image of g is its row
 space and the kernel is the left null space {v : v g = 0}.  Entries are
-integer encodings in an int64 numpy array; the heavy loops (multiply,
-echelon, characteristic polynomial) run through the kernels module, which
-picks the numba or numpy implementation at import time.
-
-Fields larger than the table cap still work through a plain-Python path,
-as long as encodings fit in int64.
+integer encodings in an int64 numpy array.  Multiply, echelon form,
+characteristic polynomial and the elementwise add, neg and scale all run
+through the _kernels module, one implementation each for every field,
+including extension fields above the table cap (encodings must fit in
+int64).
 """
 
 import math
@@ -62,47 +61,24 @@ class DenseMatrix:
             raise DimensionMismatch("inner dimensions %d and %d differ"
                                     % (self.ncols, other.nrows))
         F = self.field
-        if F.ctx is not None:
-            return DenseMatrix(F, _kernels.matmul(F.ctx, self.arr, other.arr))
-        return DenseMatrix(F, _py_matmul(F, self.arr, other.arr))
+        return DenseMatrix(F, _kernels.matmul(F, self.arr, other.arr))
 
     def __add__(self, other):
         self._check(other)
         if self.arr.shape != other.arr.shape:
             raise DimensionMismatch("shape mismatch")
         F = self.field
-        if F.a == 1:
-            return DenseMatrix(F, (self.arr + other.arr) % F.p)
-        if F.p == 2:
-            return DenseMatrix(F, self.arr ^ other.arr)
-        out = np.empty_like(self.arr)
-        flat_a, flat_b, flat_o = self.arr.ravel(), other.arr.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = F.add_enc(int(flat_a[i]), int(flat_b[i]))
-        return DenseMatrix(F, out)
+        return DenseMatrix(F, _kernels.add(F, self.arr, other.arr))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        F = self.field
-        if F.a == 1:
-            return DenseMatrix(F, (-self.arr) % F.p)
-        if F.p == 2:
-            return DenseMatrix(F, self.arr.copy())
-        out = np.empty_like(self.arr)
-        flat_a, flat_o = self.arr.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = F.neg_enc(int(flat_a[i]))
-        return DenseMatrix(F, out)
+        return DenseMatrix(self.field, _kernels.neg(self.field, self.arr))
 
     def scale(self, c):
         F = self.field
-        out = np.empty_like(self.arr)
-        flat_a, flat_o = self.arr.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = F.mul_enc(c, int(flat_a[i]))
-        return DenseMatrix(F, out)
+        return DenseMatrix(F, _kernels.mul(F, self.arr, np.int64(c)))
 
     def __pow__(self, n):
         d = self._square()
@@ -176,55 +152,7 @@ class DenseMatrix:
 
 
 def _rref(field, arr, limit=None):
-    if field.ctx is not None:
-        return _kernels.rref(field.ctx, arr, limit)
-    return _py_rref(field, arr, limit)
-
-
-def _py_matmul(F, A, B):
-    n, k = A.shape
-    m = B.shape[1]
-    C = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                s = F.add_enc(s, F.mul_enc(int(A[i, t]), int(B[t, j])))
-            C[i, j] = s
-    return C
-
-
-def _py_rref(F, M, limit=None):
-    R = np.array(M, dtype=np.int64)
-    rows, cols = R.shape
-    if limit is None:
-        limit = cols
-    pivots = []
-    rank = 0
-    for col in range(limit):
-        sel = -1
-        for r in range(rank, rows):
-            if R[r, col]:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        if sel != rank:
-            R[[rank, sel]] = R[[sel, rank]]
-        inv = F.inv_enc(int(R[rank, col]))
-        for j in range(cols):
-            R[rank, j] = F.mul_enc(inv, int(R[rank, j]))
-        for r in range(rows):
-            if r != rank and R[r, col]:
-                f = int(R[r, col])
-                for j in range(cols):
-                    R[r, j] = F.sub_enc(int(R[r, j]),
-                                        F.mul_enc(f, int(R[rank, j])))
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return R, pivots, rank
+    return _kernels.rref(field, arr, limit)
 
 
 def identity(field, d):
@@ -285,11 +213,8 @@ def block_diagonal(blocks):
 
 def apply_row(v, g):
     """Row vector image v g, as an int64 array of encodings."""
-    F = g.field
     vv = np.asarray(v, dtype=np.int64).reshape(1, -1)
-    if F.ctx is not None:
-        return _kernels.matmul(F.ctx, vv, g.arr)[0]
-    return _py_matmul(F, vv, g.arr)[0]
+    return _kernels.matmul(g.field, vv, g.arr)[0]
 
 
 def solve_row(A, b):
@@ -443,58 +368,8 @@ def restrict(g, space):
 
 def char_poly(g):
     """det(tI - g) as a monic DensePoly."""
-    d = g._square()
-    F = g.field
-    if d == 0:
-        return fpoly.DensePoly(F, [1])
-    if F.ctx is not None:
-        coeffs = _kernels.charpoly(F.ctx, g.arr)
-        return fpoly.DensePoly(F, [int(c) for c in coeffs])
-    return _py_charpoly(F, g.arr)
-
-
-def _py_charpoly(F, M):
-    """Hessenberg reduction and block recurrence, generic scalar path."""
-    d = M.shape[0]
-    H = [[int(M[i, j]) for j in range(d)] for i in range(d)]
-    for j in range(d - 1):
-        pr = -1
-        for i in range(j + 1, d):
-            if H[i][j]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != j + 1:
-            H[j + 1], H[pr] = H[pr], H[j + 1]
-            for i in range(d):
-                H[i][j + 1], H[i][pr] = H[i][pr], H[i][j + 1]
-        inv = F.inv_enc(H[j + 1][j])
-        for i in range(j + 2, d):
-            if H[i][j]:
-                f = F.mul_enc(H[i][j], inv)
-                for t in range(d):
-                    H[i][t] = F.sub_enc(H[i][t], F.mul_enc(f, H[j + 1][t]))
-                for t in range(d):
-                    H[t][j + 1] = F.add_enc(H[t][j + 1], F.mul_enc(f, H[t][i]))
-    polys = [[1]]
-    for k in range(1, d + 1):
-        prev = polys[k - 1]
-        cur = [0] * (k + 1)
-        akk = H[k - 1][k - 1]
-        for i, c in enumerate(prev):
-            cur[i + 1] = F.add_enc(cur[i + 1], c)
-            cur[i] = F.sub_enc(cur[i], F.mul_enc(akk, c))
-        run = 1
-        for i in range(1, k):
-            run = F.mul_enc(run, H[k - i][k - i - 1])
-            coef = F.mul_enc(run, H[k - 1 - i][k - 1])
-            if coef:
-                below = polys[k - 1 - i]
-                for t, c in enumerate(below):
-                    cur[t] = F.sub_enc(cur[t], F.mul_enc(coef, c))
-        polys.append(cur)
-    return fpoly.DensePoly(F, polys[d])
+    g._square()
+    return fpoly.DensePoly(g.field, _kernels.charpoly(g.field, g.arr))
 
 
 def _poly_at(f, g):

@@ -586,12 +586,6 @@ PROJECTIVE = "projective"
 _BLOCK = 1 << 16
 
 
-def _matmul(F, A, B):
-    if F.ctx is not None:
-        return _kernels.matmul(F.ctx, A, B)
-    return fmatrix._py_matmul(F, A, B)
-
-
 def _image_blocks(F, d, codes, block):
     """Encodings of v * block for the vectors v with the given encodings.
 
@@ -606,7 +600,7 @@ def _image_blocks(F, d, codes, block):
     for lo in range(0, codes.size, step):
         chunk = codes[lo:lo + step]
         vecs = chunk[:, None] // weights % q
-        img = _matmul(F, vecs, block).reshape(chunk.size, k, d)
+        img = _kernels.matmul(F, vecs, block).reshape(chunk.size, k, d)
         yield lo, lo + chunk.size, img @ weights
 
 

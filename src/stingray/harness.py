@@ -303,13 +303,13 @@ def _order_r_images(q, spec, r, seed):
 
 
 def _is_split_semisimple(g):
-    """True when g is diagonalizable over its own field: squarefree minimal
-    polynomial with all factors linear."""
-    mp = fmatrix.min_poly(g)
-    for f, mult in fpoly.factor_cached(mp).factors:
-        if mult > 1 or f.degree != 1:
-            return False
-    return True
+    """True when g is diagonalizable over its own field: the characteristic
+    polynomial splits into linear factors, each of exponent 1 in the
+    minimal polynomial.  A non-linear factor decides without rank work."""
+    factors = fpoly.factor_cached(fmatrix.char_poly(g)).factors
+    if any(f.degree != 1 for f, _ in factors):
+        return False
+    return all(k == 1 for _, k in fmatrix._min_poly_factors(g, factors))
 
 
 def _suite_psl2(seed):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +130,28 @@ def test_field_from_q():
     assert (F.p, F.a) == (3, 2)
     with pytest.raises(CompositeQ):
         ffield.field_from_q(12)
+
+
+def _first_irreducible_by_scan(p, a):
+    # every ascending coefficient tuple in lexicographic order, none skipped
+    for tail in itertools.product(range(p), repeat=a):
+        cand = tail + (1,)
+        if oracles.brute_irreducible(list(cand), p):
+            return cand
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 8),
+                                 (2, 10), (3, 2), (3, 3), (3, 5), (5, 2),
+                                 (5, 3), (7, 3), (251, 2)])
+def test_default_modulus_matches_exhaustive_scan(p, a):
+    assert ffield._smallest_irreducible(p, a) == _first_irreducible_by_scan(p, a)
+
+
+def test_default_modulus_for_fields_above_table_cap():
+    for q, (p, a) in ((2 ** 21, (2, 21)), (3 ** 13, (3, 13))):
+        F = ffield.field_from_q(q)
+        assert (F.p, F.a, F.q) == (p, a, q)
+        assert F.modulus[0] != 0 and F.modulus[-1] == 1
+        assert F._log is None
+        x = F.element(p + 1)
+        assert x * x.inverse() == F.one
