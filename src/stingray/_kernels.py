@@ -4,15 +4,19 @@ Matrices are int64 numpy arrays of integer-encoded field elements
 (encoding sum c_i p^i).  Each kernel -- matrix multiply, reduced row
 echelon form, characteristic polynomial -- has one body and takes the
 FieldSpec itself as the description of the field.  The field cases live
-only in the elementwise primitives add, neg and mul:
+only in the elementwise primitives add, sub and mul, which broadcast
+their operands and make no copies of them:
 
-  prime field       arithmetic mod p on the encodings
-  p = 2 extension   xor addition
-  odd extension     digitwise addition in base p
+  add, sub   prime field: arithmetic mod p on the encodings
+             p = 2 extension: xor
+             odd extension: one shared digitwise loop, digit i of x +- y
+             being (x // p^i +- y // p^i) mod p
+  mul        prime field: product mod p
+             tabled extension: the single gather exp[log[x] + log[y]];
+             the zero sentinel of ffield's tables makes it exact on zeros
+             extension above ffield.TABLE_CAP: FieldSpec.mul_enc per pair
 
-Extension-field products go through the field's exp/log tables; a field
-above ffield.TABLE_CAP has none, and mul multiplies each nonzero pair by
-FieldSpec.mul_enc instead.  The characteristic polynomial works on Python
+Negation is sub(F, 0, x).  The characteristic polynomial works on Python
 ints with the FieldSpec scalar methods.
 """
 
@@ -23,55 +27,39 @@ def backend():
     return "numpy"
 
 
-def add(F, x, y):
-    """Elementwise sum of two broadcastable encoding arrays."""
+def _digitwise(F, op, x, y):
+    """op (np.add or np.subtract) on two broadcastable encoding arrays."""
     if F.a == 1:
-        return (x + y) % F.p
+        return op(x, y) % F.p
     if F.p == 2:
         return np.bitwise_xor(x, y)
-    s = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-    xx = np.array(np.broadcast_to(x, s.shape))
-    yy = np.array(np.broadcast_to(y, s.shape))
-    mult = 1
+    # digit i of op(x, y) is op(x // p^i, y // p^i) mod p: the higher
+    # digits of each quotient are multiples of p
+    s = 0
+    m = 1
     for _ in range(F.a):
-        s += ((xx + yy) % F.p) * mult
-        xx //= F.p
-        yy //= F.p
-        mult *= F.p
+        s = s + op(x // m, y // m) % F.p * m
+        m *= F.p
     return s
 
 
-def neg(F, x):
-    """Elementwise negation of an encoding array."""
-    if F.a == 1:
-        return (-x) % F.p
-    if F.p == 2:
-        return x.copy()
-    s = np.zeros_like(x)
-    xx = x.copy()
-    mult = 1
-    for _ in range(F.a):
-        s += ((-xx) % F.p) * mult
-        xx //= F.p
-        mult *= F.p
-    return s
+def add(F, x, y):
+    """Elementwise sum of two broadcastable encoding arrays."""
+    return _digitwise(F, np.add, x, y)
+
+
+def sub(F, x, y):
+    """Elementwise difference x - y of two broadcastable encoding arrays."""
+    return _digitwise(F, np.subtract, x, y)
 
 
 def mul(F, x, y):
     """Elementwise product of two broadcastable encoding arrays."""
     if F.a == 1:
         return x * y % F.p
-    xb = np.broadcast_to(x, np.broadcast(x, y).shape)
-    yb = np.broadcast_to(y, xb.shape)
-    nz = (xb != 0) & (yb != 0)
-    out = np.zeros(xb.shape, dtype=np.int64)
-    if np.any(nz):
-        if F._log is not None:
-            out[nz] = F._exp[F._log[xb[nz]] + F._log[yb[nz]]]
-        else:
-            out[nz] = [F.mul_enc(int(u), int(v))
-                       for u, v in zip(xb[nz], yb[nz])]
-    return out
+    if F._log is not None:
+        return F._exp[F._log[x] + F._log[y]]
+    return np.frompyfunc(F.mul_enc, 2, 1)(x, y).astype(np.int64)
 
 
 def matmul(F, A, B):
@@ -117,7 +105,7 @@ def rref(F, M, limit=None):
         others = others[others != rank]
         if others.size:
             f = R[others, col:col + 1]
-            R[others] = add(F, R[others], neg(F, mul(F, f, R[rank:rank + 1, :])))
+            R[others] = sub(F, R[others], mul(F, f, R[rank:rank + 1, :]))
         pivots.append(col)
         rank += 1
     return R, pivots, rank

@@ -231,7 +231,12 @@ def eigenvalue_multiplicities(g, r):
         raise CharacteristicOrder("r equals the characteristic %d" % F.p)
     if r < 3 or not is_prime(r):
         raise UnsupportedR("r must be an odd prime, got %d" % r)
-    order = fmatrix.matrix_order(g)
+    cp = fmatrix.char_poly(g)
+    if cp.coeffs[0] == 0:
+        raise Singular("matrix is singular")
+    cp_factors = fpoly.factor_cached(cp).factors
+    order = fmatrix._order_from_factors(
+        F, fmatrix._min_poly_factors(g, cp_factors))
     if order == 1:
         mults = [d] + [0] * (r - 1)
         return cyclo.MultiplicitySolution(r=r, d=d, mults=tuple(mults))
@@ -251,7 +256,7 @@ def eigenvalue_multiplicities(g, r):
 
     tm1 = fpoly.DensePoly(F, [F.neg_enc(1), 1])
     mults = [0] * r
-    for f, m in fpoly.factor_cached(fmatrix.char_poly(g)).factors:
+    for f, m in cp_factors:
         if f == tm1:
             mults[0] += m
             continue

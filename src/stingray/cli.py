@@ -8,13 +8,14 @@ file, ``construct`` builds stingray elements and explicit modules,
 tools, and ``verify`` runs the named check suite.
 
 Exit codes: 0 success (and suite PASS), 1 suite FAIL, 2 error while
-computing, 3 empty ppd result, 64 usage error.
+computing, 3 empty ppd result, 64 usage error.  Every error is one line
+on stderr; an unexpected exception is reported as
+``error: internal: <type>: <message>``, never as a traceback.
 """
 
 import argparse
 import os
 import sys
-import traceback
 
 from . import classify
 from . import cyclo
@@ -291,8 +292,10 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    except Exception:
-        traceback.print_exc()
+    except Exception as exc:
+        msg = " ".join(str(exc).splitlines())
+        print("error: internal: %s: %s" % (type(exc).__name__, msg),
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -2,24 +2,31 @@
 
 Elements are canonically encoded as integers sum c_i p^i with coefficient
 vector (c_0, ..., c_{a-1}); the encoding is the on-disk and in-matrix
-representation throughout the package.  Extension fields up to
-q <= TABLE_CAP = 2^20 get exp/log tables (built once per field and shared
-through an interning cache); larger extension fields multiply by direct
-polynomial arithmetic per operation.  A FieldSpec is the only description
-of a field: the matrix kernels in _kernels take it as it is, and use its
-tables or its scalar methods.
+representation throughout the package.  A FieldSpec is the only
+description of a field: the matrix kernels in _kernels take it as it is,
+and use its tables or its scalar methods.
 
-The modulus, when not supplied, is the lexicographically smallest monic
-irreducible of degree a over F_p, comparing ascending coefficient lists as
-integer tuples.  Embeddings GF(p^a) -> GF(p^b) (a | b) send the canonical
-generator to the smallest-encoding root of the source modulus in the
-target, so they are deterministic for a fixed field pair.
+Extension fields up to q <= TABLE_CAP = 2^20 get exp/log tables, built
+once per field and shared through an interning cache.  exp holds g^i for
+0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is the
+sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
+encodings, zero included, with no test (array or scalar alike).  Larger
+extension fields multiply by polynomial arithmetic on coefficient lists
+(_pmulmod) per operation.
+
+Field construction goes through fpoly over the prime field: the modulus,
+when not supplied, is the lexicographically smallest monic irreducible of
+degree a over F_p (ascending coefficient lists compared as integer
+tuples), found with fpoly.is_irreducible (Rabin's test).  The tabled
+generator is generator_enc(), the smallest-encoding primitive element.
+Embeddings GF(p^a) -> GF(p^b) (a | b) send the class of the variable to
+the smallest root of the source modulus in the target (fpoly.roots), so
+they are deterministic for a fixed field pair.
 """
-
-import math
 
 import numpy as np
 
+from . import fpoly
 from ._intmath import factorize, is_prime, factorization_order_descend
 from .errors import (DegreeMismatch, DivisionByZero, FieldMismatch, NoEmbedding,
                      NotPrime, ReducibleModulus)
@@ -29,7 +36,8 @@ TABLE_CAP = 1 << 20
 _registry = {}
 
 
-# --- bootstrap polynomial arithmetic over F_p (coefficient lists, ascending) ---
+# --- the product of fields without tables: coefficient lists over F_p,
+# ascending; faster per product than fpoly.DensePoly arithmetic ---
 
 def _ptrim(c):
     while c and c[-1] == 0:
@@ -54,63 +62,14 @@ def _pmulmod(f, g, mod, p):
     return _ptrim(res)
 
 
-def _ppowmod(f, e, mod, p):
-    result = [1]
-    base = list(f)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        # f mod g
-        dg = len(g) - 1
-        inv = pow(g[-1], p - 2, p)
-        while len(f) - 1 >= dg and f:
-            c = f[-1] * inv % p
-            shift = len(f) - 1 - dg
-            for j in range(len(g)):
-                f[shift + j] = (f[shift + j] - c * g[j]) % p
-            _ptrim(f)
-        f, g = g, f
-    return f
-
-
-def _irreducible_mod_p(mod, p):
-    """Rabin's test for a monic polynomial over F_p."""
-    a = len(mod) - 1
-    if a == 1:
-        return True
-    x = [0, 1]
-    xq = _ppowmod(x, p ** a, mod, p)
-    diff = _ptrim([(xi - yi) % p for xi, yi in
-                   zip(xq + [0] * (2 - len(xq)), x + [0] * max(0, len(xq) - 2))])
-    # xq - x must be 0 mod the modulus
-    if diff:
-        return False
-    for ell in factorize(a)[0]:
-        xe = _ppowmod(x, p ** (a // ell), mod, p)
-        d = [(c - (1 if i == 1 else 0)) % p for i, c in
-             enumerate(xe + [0] * (2 - len(xe)))]
-        g = _pgcd(list(mod), _ptrim(d), p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
 def _smallest_irreducible(p, a):
     # m's most significant base-p digit is the constant term, so every m
     # below p^(a-1) is divisible by x (a >= 2) and is skipped
     for m in range(p ** (a - 1), p ** a):
         coeffs = tuple((m // p ** (a - 1 - i)) % p for i in range(a))
-        cand = list(coeffs) + [1]
-        if _irreducible_mod_p(cand, p):
-            return tuple(cand)
+        cand = coeffs + (1,)
+        if fpoly.is_irreducible(fpoly.DensePoly(make_field(p), cand)):
+            return cand
     raise AssertionError("no irreducible of degree %d over F_%d" % (a, p))
 
 
@@ -130,7 +89,7 @@ class FieldSpec:
         self._embeddings = {}
         self._exp = self._log = None
         if a > 1 and self.q <= TABLE_CAP:
-            self._exp, self._log, self._gen_enc = self._build_tables()
+            self._exp, self._log = self._build_tables()
 
     # -- construction helpers --
 
@@ -160,38 +119,19 @@ class FieldSpec:
         return self._q1_factors
 
     def _build_tables(self):
-        q = self.q
-        gen = self._find_generator_raw()
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        # log[0] = 2(q-1) and exp is zero from index 2(q-1) on, so a product
+        # exp[log[x] + log[y]] is 0 whenever x or y is, with no test
+        q1 = self.q - 1
+        gen = self.generator_enc()
+        exp = np.zeros(4 * q1 + 1, dtype=np.int64)
+        log = np.full(self.q, 2 * q1, dtype=np.int64)
         x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
+        for i in range(q1):
+            exp[i] = exp[i + q1] = x
             log[x] = i
             x = self._mul_raw(x, gen)
         assert x == 1, "generator order wrong"
-        return exp, log, gen
-
-    def _find_generator_raw(self):
-        q1 = self.q - 1
-        fac = self.q1_factors()
-        cofs = [q1 // ell for ell in fac]
-
-        def powr(x, e):
-            r = 1
-            b = x
-            while e:
-                if e & 1:
-                    r = self._mul_raw(r, b)
-                b = self._mul_raw(b, b)
-                e >>= 1
-            return r
-
-        for cand in range(2, self.q):
-            if all(powr(cand, c) != 1 for c in cofs):
-                return cand
-        raise AssertionError("no generator found")
+        return exp, log
 
     # -- scalar encoding arithmetic --
 
@@ -226,24 +166,11 @@ class FieldSpec:
         return s
 
     def neg_enc(self, x):
-        p = self.p
-        if self.a == 1:
-            return (-x) % p
-        if p == 2:
-            return x
-        s = 0
-        mult = 1
-        for _ in range(self.a):
-            s += ((-x) % p) * mult
-            x //= p
-            mult *= p
-        return s
+        return self.sub_enc(0, x)
 
     def mul_enc(self, x, y):
         if self.a == 1:
             return x * y % self.p
-        if x == 0 or y == 0:
-            return 0
         if self._log is not None:
             return int(self._exp[self._log[x] + self._log[y]])
         return self._mul_raw(x, y)
@@ -440,7 +367,7 @@ def make_field(p, a=1, modulus=None):
             raise DegreeMismatch("modulus must have degree %d" % a)
         if modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic")
-        if not _irreducible_mod_p(list(modulus), p):
+        if not fpoly.is_irreducible(fpoly.DensePoly(make_field(p), modulus)):
             raise ReducibleModulus("modulus %s is reducible over F_%d"
                                    % (list(modulus), p))
         key = (p, a, modulus)
@@ -493,25 +420,6 @@ def element_order(x):
     return x.field.order_enc(x.enc)
 
 
-def _roots_in_target(modulus, target):
-    """Encodings of the roots of a prime-coefficient polynomial in target."""
-    roots = []
-    if target.q <= (1 << 16):
-        for cand in range(target.q):
-            acc = 0
-            for c in reversed(modulus):
-                acc = target.add_enc(target.mul_enc(acc, cand), c % target.p)
-            if acc == 0:
-                roots.append(cand)
-    else:
-        from . import fpoly
-        f = fpoly.DensePoly(target, [c % target.p for c in modulus])
-        for g, _ in fpoly.factor(f).factors:
-            if g.degree == 1:
-                roots.append(target.neg_enc(g.coeffs[0]))
-    return sorted(roots)
-
-
 def embed(x, target):
     """Image of x under the fixed embedding of its field into target.
 
@@ -529,7 +437,7 @@ def embed(x, target):
         return FqElem(target, x.enc)
     beta = source._embeddings.get((target.p, target.a, target.modulus))
     if beta is None:
-        roots = _roots_in_target(source.modulus, target)
+        roots = fpoly.roots(fpoly.DensePoly(target, source.modulus))
         if not roots:
             raise NoEmbedding("source modulus has no root in target")
         beta = roots[0]

@@ -3,7 +3,7 @@
 A matrix g acts on row vectors by v |-> v g, so the image of g is its row
 space and the kernel is the left null space {v : v g = 0}.  Entries are
 integer encodings in an int64 numpy array.  Multiply, echelon form,
-characteristic polynomial and the elementwise add, neg and scale all run
+characteristic polynomial and the elementwise add, sub, neg and scale run
 through the _kernels module, one implementation each for every field,
 including extension fields above the table cap (encodings must fit in
 int64).
@@ -64,17 +64,19 @@ class DenseMatrix:
         return DenseMatrix(F, _kernels.matmul(F, self.arr, other.arr))
 
     def __add__(self, other):
+        return self._elementwise(_kernels.add, other)
+
+    def __sub__(self, other):
+        return self._elementwise(_kernels.sub, other)
+
+    def _elementwise(self, op, other):
         self._check(other)
         if self.arr.shape != other.arr.shape:
             raise DimensionMismatch("shape mismatch")
-        F = self.field
-        return DenseMatrix(F, _kernels.add(F, self.arr, other.arr))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return DenseMatrix(self.field, op(self.field, self.arr, other.arr))
 
     def __neg__(self):
-        return DenseMatrix(self.field, _kernels.neg(self.field, self.arr))
+        return DenseMatrix(self.field, _kernels.sub(self.field, 0, self.arr))
 
     def scale(self, c):
         F = self.field

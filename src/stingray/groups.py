@@ -18,7 +18,6 @@ lines, the points of a projective frame), so no matrix is multiplied or
 inverted after the conversion.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +61,6 @@ class MatrixGroup:
 
 # --- permutation plumbing ---
 
-def perm_identity(n):
-    return tuple(range(n))
-
 def perm_from_cycles(n, cycles):
     """Permutation from 1-indexed cycles, e.g. (14, [(1,2,3)])."""
     img = list(range(n))
@@ -80,48 +76,6 @@ def perm_from_cycles(n, cycles):
 def perm_mul(s, t):
     """Apply s, then t."""
     return tuple(t[s[i]] for i in range(len(s)))
-
-
-def perm_order(s):
-    n = len(s)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if not seen[i]:
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = s[j]
-                ln += 1
-            order = order * ln // math.gcd(order, ln)
-    return order
-
-
-@dataclass(frozen=True)
-class CycleType:
-    n: int
-    cycles: tuple    # sorted descending, includes fixed points as 1s
-
-    def __post_init__(self):
-        if sum(self.cycles) != self.n:
-            raise ValueError("cycle lengths must sum to n")
-
-
-def cycle_type(s):
-    n = len(s)
-    seen = [False] * n
-    lens = []
-    for i in range(n):
-        if not seen[i]:
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = s[j]
-                ln += 1
-            lens.append(ln)
-    return CycleType(n=n, cycles=tuple(sorted(lens, reverse=True)))
 
 
 # --- deleted permutation module ---
@@ -549,8 +503,8 @@ def is_irreducible(grp, seed=DEFAULT_SEED, max_rounds=64):
         if u.dim < d:
             return IrreducibilityResult(status="NO", witness=u, rounds=rounds)
         conull = fmatrix.kernel(a.transpose())
-        if null.dim == 1:
-            udual = spin([conull.basis[0]], tgrp)
+        for v in conull.basis:
+            udual = spin([v], tgrp)
             if udual.dim < d:
                 # the annihilator of a proper invariant subspace of the
                 # transpose module is proper and invariant here
@@ -560,19 +514,9 @@ def is_irreducible(grp, seed=DEFAULT_SEED, max_rounds=64):
                 assert all(wit.is_invariant(g) for g in grp.generators)
                 return IrreducibilityResult(status="NO", witness=wit,
                                             rounds=rounds)
+        if null.dim == 1:
             return IrreducibilityResult(status="YES", witness=None,
                                         rounds=rounds)
-        else:
-            for i in range(conull.dim):
-                udual = spin([conull.basis[i]], tgrp)
-                if udual.dim < d:
-                    wit = fmatrix.kernel(
-                        fmatrix.DenseMatrix(F,
-                                            np.ascontiguousarray(udual.basis.T)))
-                    assert 0 < wit.dim < d
-                    assert all(wit.is_invariant(g) for g in grp.generators)
-                    return IrreducibilityResult(status="NO", witness=wit,
-                                                rounds=rounds)
     return IrreducibilityResult(status="INCONCLUSIVE", witness=None,
                                 rounds=max_rounds)
 

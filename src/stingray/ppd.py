@@ -12,7 +12,8 @@ over many e for the same q cheap, since divisors k of different e repeat.
 
 from dataclasses import dataclass
 
-from ._intmath import factorize, is_prime, is_probable_prime, is_prime_power
+from ._intmath import (factorization_order_descend, factorize, is_prime,
+                       is_prime_power, is_probable_prime)
 from .errors import (CompositeQ, NotCoprime, NotPrime, StingrayUsageError,
                      TooLarge)
 
@@ -87,13 +88,8 @@ def multiplicative_order(r, q):
         raise NotPrime("%d is not prime" % r)
     if q % r == 0:
         raise NotCoprime("%d divides %d" % (r, q))
-    n = r - 1
-    fac = factorize(n)[0]
-    order = n
-    for p in fac:
-        while order % p == 0 and pow(q, order // p, r) == 1:
-            order //= p
-    return order
+    return factorization_order_descend(
+        r - 1, factorize(r - 1)[0], lambda m: pow(q, m, r) == 1)
 
 
 def is_eppd_prime(r, q, e):

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from stingray import groups, harness
+from stingray import cli, groups, harness
 from stingray.cli import main
 
 
@@ -178,6 +178,18 @@ def test_verify_fail_exit_code(capsys, tmp_path):
                        "--atlas-dir", str(d))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("kernel\nexploded")
+
+    monkeypatch.setattr(cli, "_cmd_ppd", boom)
+    code, out, err = run(capsys, "ppd", "--q", "2", "--e", "4")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: internal: RuntimeError: kernel exploded"]
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_error(capsys):

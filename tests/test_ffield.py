@@ -105,17 +105,19 @@ def test_embed_preserves_order():
 
 
 def test_embed_is_additive_and_multiplicative():
-    F4 = ffield.make_field(2, 2)
-    F16 = ffield.make_field(2, 4)
-    for xe in range(4):
-        for ye in range(4):
-            x, y = F4.element(xe), F4.element(ye)
-            lhs = ffield.embed(ffield.add(x, y), F16)
-            rhs = ffield.add(ffield.embed(x, F16), ffield.embed(y, F16))
-            assert lhs == rhs
-            lhs = ffield.embed(ffield.mul(x, y), F16)
-            rhs = ffield.mul(ffield.embed(x, F16), ffield.embed(y, F16))
-            assert lhs == rhs
+    # the last two targets are above 2^16 and above ffield.TABLE_CAP
+    for source, target in (((2, 2), (2, 4)), ((2, 2), (2, 22)),
+                           ((3, 2), (3, 14))):
+        S = ffield.make_field(*source)
+        T = ffield.make_field(*target)
+        images = [ffield.embed(x, T) for x in S.elements()]
+        assert len({y.enc for y in images}) == S.q
+        for x in S.elements():
+            for y in S.elements():
+                assert ffield.embed(ffield.add(x, y), T) == ffield.add(
+                    images[x.enc], images[y.enc])
+                assert ffield.embed(ffield.mul(x, y), T) == ffield.mul(
+                    images[x.enc], images[y.enc])
 
 
 def test_embed_requires_subfield():

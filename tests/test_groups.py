@@ -24,13 +24,6 @@ def test_perm_from_cycles():
         groups.perm_from_cycles(3, [(1, 5)])
 
 
-def test_cycle_type():
-    ct = groups.CycleType(10, (5, 5))
-    assert ct.n == 10
-    with pytest.raises(ValueError):
-        groups.CycleType(10, (5, 4))
-
-
 # --- deleted permutation modules ---
 
 def test_delperm_dimension_rule():
@@ -279,6 +272,21 @@ def test_is_irreducible_yes():
     res = groups.is_irreducible(grp, seed=1)
     assert res.status == "YES"
     assert res.witness is None
+
+
+def test_is_irreducible_proves_only_at_nullity_one(monkeypatch):
+    # in an irreducible module every kernel vector spins to the whole space,
+    # so a nullity-2 round gives no witness and must not be taken as proof
+    grp = groups.sl2_module(5, groups.SYMCUBE).group
+    F = grp.field
+    draws = iter([fmatrix.DenseMatrix(F, [[0, 0, 0, 0], [0, 0, 0, 0],
+                                          [0, 0, 1, 0], [0, 0, 0, 1]]),
+                  fmatrix.DenseMatrix(F, [[0, 0, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, 0], [0, 0, 0, 1]])])
+    monkeypatch.setattr(groups, "_random_algebra_element",
+                        lambda grp, rng: next(draws))
+    res = groups.is_irreducible(grp)
+    assert (res.status, res.rounds, res.witness) == ("YES", 2, None)
 
 
 def test_is_irreducible_no_with_witness():

@@ -136,6 +136,16 @@ def test_suite_reports_are_deterministic():
     assert a == b
 
 
+def test_verify_all_lines_are_pinned():
+    # tests/data/verify_all.txt holds the lines of the whole suite at the
+    # default seed; any change to a field, kernel or algorithm that moves a
+    # verdict, a count or a sampled draw shows up here
+    path = os.path.join(os.path.dirname(__file__), "data", "verify_all.txt")
+    with open(path) as fh:
+        want = fh.read().splitlines()
+    assert harness.verify_suite("ALL", seed=groups.DEFAULT_SEED).lines() == want
+
+
 def test_unknown_suite():
     with pytest.raises(StingrayUsageError):
         harness.verify_suite("BOGUS")

@@ -2,6 +2,7 @@
 prime, p = 2 extension, odd extension, and extension fields above the
 exp/log table cap, which multiply through FieldSpec.mul_enc."""
 
+import numpy as np
 import pytest
 
 from stingray import _kernels, ffield, fpoly
@@ -59,14 +60,46 @@ def test_elementwise_ops_match_oracle(field):
     add, mul = _oracle_ops(F)
     rng = SplitMix64(21)
     A, B = _random(F, rng, 3, 4), _random(F, rng, 3, 4)
+    Z = zeros(F, 3, 4)
     c = 1 + rng.randrange(F.q - 1)
-    a, b = A.arr.ravel().tolist(), B.arr.ravel().tolist()
     minus_one = F.p - 1
-    assert (A + B).arr.ravel().tolist() == [add(x, y) for x, y in zip(a, b)]
-    assert (A - B).arr.ravel().tolist() == [
-        add(x, mul(minus_one, y)) for x, y in zip(a, b)]
-    assert A.scale(c).arr.ravel().tolist() == [mul(c, x) for x in a]
-    assert A.scale(0) == zeros(F, 3, 4)
+
+    def flat(arr):
+        return arr.ravel().tolist()
+
+    assert flat((-A).arr) == [mul(minus_one, x) for x in flat(A.arr)]
+    # Z by Z reads the last entry of a tabled field's exp
+    for X, Y in ((A, B), (A, -A), (A, Z), (Z, A), (Z, Z)):
+        pairs = list(zip(flat(X.arr), flat(Y.arr)))
+        assert flat((X + Y).arr) == [add(x, y) for x, y in pairs]
+        assert flat((X - Y).arr) == [
+            add(x, mul(minus_one, y)) for x, y in pairs]
+        assert flat(_kernels.mul(F, X.arr, Y.arr)) == [
+            mul(x, y) for x, y in pairs]
+    assert flat(A.scale(c).arr) == [mul(c, x) for x in flat(A.arr)]
+    assert A.scale(0) == Z
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_all_pairs_match_oracle(q):
+    F = ffield.field_from_q(q)
+    add, mul = _oracle_ops(F)
+    xs = np.repeat(np.arange(q), q)
+    ys = np.tile(np.arange(q), q)
+    col, row = np.arange(q)[:, None], np.arange(q)[None, :]
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    want = {
+        "add": [add(x, y) for x, y in pairs],
+        "sub": [add(x, mul(F.p - 1, y)) for x, y in pairs],
+        "mul": [mul(x, y) for x, y in pairs],
+    }
+    for name, want_op in want.items():
+        scalar = getattr(F, name + "_enc")
+        kernel = getattr(_kernels, name)
+        assert [scalar(x, y) for x, y in pairs] == want_op
+        assert kernel(F, xs, ys).tolist() == want_op
+        assert kernel(F, col, row).ravel().tolist() == want_op
+    assert [F.neg_enc(y) for y in range(q)] == want["sub"][:q]
 
 
 def test_inverse(field):
