@@ -109,10 +109,6 @@ class DenseMatrix:
     def __hash__(self):
         return hash((self.field, self.arr.shape, self.arr.tobytes()))
 
-    def key(self):
-        """Bytes key for closure sets and caches."""
-        return self.arr.tobytes()
-
     def copy(self):
         return DenseMatrix(self.field, self.arr.copy())
 

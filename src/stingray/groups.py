@@ -5,9 +5,9 @@ generator sets, plus the group-level algorithms (spinning, a Norton-style
 irreducibility test, product-replacement random elements, and an exact
 group order).
 
-Permutations are tuples of 0-indexed images; perm_mul(s, t) applies s
-first, so all module maps satisfy map(perm_mul(s, t)) = map(s) * map(t)
-under the package's row-vector action.
+Permutations are tuples of 0-indexed images, composed left to right (s
+then t), so all module maps are homomorphisms for the package's row-vector
+action: map(s then t) = map(s) * map(t).
 
 group_order works in the permutation domain: each generator is mapped
 once, by one matrix product over all points, to an integer permutation of
@@ -71,11 +71,6 @@ def perm_from_cycles(n, cycles):
                 raise ValueError("cycle point %d outside 1..%d" % (a, n))
             img[a - 1] = b - 1
     return tuple(img)
-
-
-def perm_mul(s, t):
-    """Apply s, then t."""
-    return tuple(t[s[i]] for i in range(len(s)))
 
 
 # --- deleted permutation module ---
@@ -770,21 +765,3 @@ def group_order(grp, action=VECTORS, seed=DEFAULT_SEED):
         order *= len(lvl.orbit)
     return order
 
-
-def brute_force_closure(grp, cap=10 ** 5):
-    """All elements by BFS over generator products; raises past the cap."""
-    gens = grp.generators
-    ident = fmatrix.identity(grp.field, grp.dim)
-    seen = {ident.key(): ident}
-    queue = [ident]
-    while queue:
-        m = queue.pop()
-        for g in gens:
-            nxt = m * g
-            kk = nxt.key()
-            if kk not in seen:
-                if len(seen) >= cap:
-                    raise ActionTooLarge("closure exceeded %d elements" % cap)
-                seen[kk] = nxt
-                queue.append(nxt)
-    return list(seen.values())

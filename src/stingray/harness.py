@@ -15,8 +15,10 @@ byte for byte.  Example:
     1 1
     # order 3
 
-Every suite is deterministic: parameters come from _manifest and the
-random searches run on fixed seeds.
+Every suite is deterministic: parameters come from _manifest.  The PSL2
+suite decides its dichotomy over the conjugacy classes of order-r elements
+of SL2(q); only the ATLAS stingray search and sample_stingray draw random
+elements, on the given seed.
 """
 
 import os
@@ -289,17 +291,21 @@ def _module_spec(raw):
     raise StingrayUsageError("unknown module spec %r" % (raw,))
 
 
-def _order_r_images(q, spec, r, seed):
-    """Generator of module images of order-r elements of SL2(q)."""
-    nat = groups.sl2_module(q, groups.NATURAL)
-    mod = groups.sl2_module(q, _module_spec(spec))
-    st = groups.new_walk_state(nat.group, seed=seed)
-    while True:
-        g = groups.random_element(nat.group, st)
-        n = fmatrix.matrix_order(g)
-        if n % r:
-            continue
-        yield mod.to_matrix(g ** (n // r))
+def _order_r_classes(q, r):
+    """One element from each conjugacy class of order r in SL2(q), for an
+    odd prime r other than p: the companion matrices of t^2 - tau t + 1,
+    tau in GF(q), that have order r.  Such elements are semisimple, and two
+    of them are conjugate in SL2(q) exactly when their traces agree
+    (Fulton-Harris, Representation Theory, 5.2).  When r divides q^2 - 1
+    there are (r-1)/2 classes, one per trace zeta + 1/zeta of a primitive
+    r-th root of unity zeta; otherwise there are none."""
+    F = ffield.field_from_q(q)
+    out = []
+    for tau in range(q):
+        g = fmatrix.companion(fpoly.DensePoly(F, [1, F.neg_enc(tau), 1]))
+        if fmatrix.matrix_order(g) == r:
+            out.append(g)
+    return out
 
 
 def _is_split_semisimple(g):
@@ -312,41 +318,33 @@ def _is_split_semisimple(g):
     return all(k == 1 for _, k in fmatrix._min_poly_factors(g, factors))
 
 
-def _suite_psl2(seed):
+def _suite_psl2():
     checks = []
     for case in _manifest.PSL2_CASES:
         q, r, e = case["q"], case["r"], case["e"]
         label = case["label"].upper()
-        images = _order_r_images(q, case["module"], r, seed)
-        if case["expect"] == "found":
-            found = False
-            for _ in range(_manifest.PSL2_MAX_DRAWS):
-                img = next(images)
+        mod = groups.sl2_module(q, _module_spec(case["module"]))
+        classes = _order_r_classes(q, r)
+        found = stingray_hits = nondiag = 0
+        for g in classes:
+            img = mod.to_matrix(g)
+            if classify.is_stingray_oracle(img, e):
+                stingray_hits += 1
                 cls = classify.classify_element(img, e)
-                if (cls.tag == classify.STINGRAY and cls.e == e
-                        and classify.is_stingray_oracle(img, e)):
-                    found = True
-                    break
+                found += cls.tag == classify.STINGRAY and cls.e == e
+            nondiag += not _is_split_semisimple(img)
+        if case["expect"] == "found":
             _check(checks, "PSL2-%s-FOUND" % label,
                    "order-%d %d-stingray image exists at q=%d" % (r, e, q),
                    "found", "found" if found else "none")
         else:
-            samples = case["samples"]
-            stingray_hits = 0
-            nondiag = 0
-            for _ in range(samples):
-                img = next(images)
-                if classify.is_stingray_oracle(img, e):
-                    stingray_hits += 1
-                if not _is_split_semisimple(img):
-                    nondiag += 1
             _check(checks, "PSL2-%s-NONE" % label,
-                   "no %d-stingray among %d order-%d images at q=%d"
-                   % (e, samples, r, q),
+                   "no %d-stingray among the %d classes of order-%d "
+                   "elements at q=%d" % (e, len(classes), r, q),
                    "0", stingray_hits)
             _check(checks, "PSL2-%s-DIAG" % label,
-                   "all %d sampled order-%d images diagonalizable over F%d"
-                   % (samples, r, q),
+                   "all %d classes of order-%d images diagonalizable over F%d"
+                   % (len(classes), r, q),
                    "0", nondiag)
     return VerifyReport(suite="PSL2", checks=tuple(checks))
 
@@ -445,7 +443,7 @@ def verify_suite(name, seed=None, atlas_dir=None):
     if name == "PERMMOD":
         return _suite_permmod()
     if name == "PSL2":
-        return _suite_psl2(seed)
+        return _suite_psl2()
     if name == "PROP122":
         return _suite_prop122()
     if name == "CHARACTERS":

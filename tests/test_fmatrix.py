@@ -255,3 +255,16 @@ def test_full_and_identity_helpers():
     assert fmatrix.scalar_matrix(F3, 2, 2) == M(F3, [[2, 0], [0, 2]])
     assert fmatrix.diagonal(F3, [1, 2]) == M(F3, [[1, 0], [0, 2]])
     assert fmatrix.zeros(F3, 2).rank() == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_char_poly_matches_sympy_charpoly(p):
+    sympy = pytest.importorskip("sympy")
+    F = ffield.make_field(p)
+    rng = SplitMix64(0xC4A2 + p)
+    for _ in range(20):
+        g = _random_matrix(F, rng, 1 + rng.randrange(6))
+        rows = [[int(x) for x in row] for row in g.arr]
+        want = [int(c) % p for c in reversed(
+            sympy.Matrix(rows).charpoly(sympy.Symbol("t")).all_coeffs())]
+        assert fmatrix.char_poly(g).coeffs == want

@@ -165,3 +165,25 @@ def test_derivative_and_eval():
 def test_factor_cached_same_object():
     f = P(F2, 1, 1, 1, 1, 1)
     assert fpoly.factor_cached(f) is fpoly.factor_cached(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_factor_matches_sympy_galoistools(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+    F = ffield.make_field(p)
+    rng = SplitMix64(0xFAC7 + p)
+    for i in range(40):
+        if i % 2:
+            f = _random_poly(F, rng, 1 + rng.randrange(12))
+        else:
+            # a repeated factor exercises the squarefree split
+            h = _random_poly(F, rng, 1 + rng.randrange(3))
+            f = _random_poly(F, rng, rng.randrange(7)) * h * h
+        unit, facs = gf_factor([int(c) for c in reversed(f.coeffs)], p, ZZ)
+        want = sorted((tuple(int(c) for c in reversed(g)), k)
+                      for g, k in facs)
+        got = fpoly.factor(f)
+        assert got.unit == unit % p
+        assert sorted((tuple(g.coeffs), k) for g, k in got.factors) == want

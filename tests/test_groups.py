@@ -225,11 +225,6 @@ def test_action_too_large():
         groups.group_order(grp)
 
 
-def test_brute_force_closure():
-    grp = groups.classical_generators("GL", 2, 3)
-    assert len(groups.brute_force_closure(grp)) == 48
-
-
 # --- random walks, spinning, irreducibility ---
 
 def test_random_element_deterministic():

@@ -2,9 +2,11 @@ import os
 
 import pytest
 
-from stingray import classify, groups, harness
+from stingray import _manifest, classify, ffield, groups, harness
 from stingray.errors import (NotPrime, ParseError, ReducibleModulus,
                              SingularGenerator, StingrayUsageError)
+
+import oracles
 
 
 def _write(path, text):
@@ -136,14 +138,90 @@ def test_suite_reports_are_deterministic():
     assert a == b
 
 
-def test_verify_all_lines_are_pinned():
-    # tests/data/verify_all.txt holds the lines of the whole suite at the
-    # default seed; any change to a field, kernel or algorithm that moves a
-    # verdict, a count or a sampled draw shows up here
+@pytest.mark.parametrize("seed", [groups.DEFAULT_SEED, 1],
+                         ids=["default-seed", "seed-1"])
+def test_verify_all_lines_are_pinned(seed):
+    # tests/data/verify_all.txt holds the lines of the whole suite; any
+    # change to a field, kernel or algorithm that moves a verdict or a count
+    # shows up here, and no suite in ALL may depend on the seed
     path = os.path.join(os.path.dirname(__file__), "data", "verify_all.txt")
     with open(path) as fh:
         want = fh.read().splitlines()
-    assert harness.verify_suite("ALL", seed=groups.DEFAULT_SEED).lines() == want
+    assert harness.verify_suite("ALL", seed=seed).lines() == want
+
+
+def _sl2_orders(q):
+    """{element: order} over all of SL2(q), by oracle arithmetic on
+    encodings, elements as (a, b, c, d) for the rows (a, b), (c, d)."""
+    F = ffield.field_from_q(q)
+    mod = list(F.modulus) if F.modulus else None
+    add = [[oracles.gf_add(x, y, F.p, F.a) for y in range(q)]
+           for x in range(q)]
+    mul = [[oracles.gf_mul(x, y, F.p, mod) for y in range(q)]
+           for x in range(q)]
+    neg = [add[x].index(0) for x in range(q)]
+
+    def mat_mul(g, h):
+        a, b, c, d = g
+        e, f, u, v = h
+        return (add[mul[a][e]][mul[b][u]], add[mul[a][f]][mul[b][v]],
+                add[mul[c][e]][mul[d][u]], add[mul[c][f]][mul[d][v]])
+
+    one = (1, 0, 0, 1)
+    orders = {}
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    if add[mul[a][d]][neg[mul[b][c]]] != 1:
+                        continue
+                    g, x, n = (a, b, c, d), (a, b, c, d), 1
+                    while x != one:
+                        x, n = mat_mul(x, g), n + 1
+                    orders[g] = n
+    return add, orders
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16])
+def test_order_r_classes_cover_sl2_by_brute_force(q):
+    # every order-r element of SL2(q) has one of the enumerated traces, and
+    # each trace holds |SL2(q)|/(q -+ 1) elements: one centralizer-sized
+    # class in SL2(q), so one companion matrix per trace sees all of them
+    add, orders = _sl2_orders(q)
+    assert len(orders) == q * (q * q - 1)
+    primes = [r for r in oracles.trial_factor(q * q - 1) if r % 2]
+    assert primes
+    for r in primes:
+        classes = harness._order_r_classes(q, r)
+        taus = [g.trace() for g in classes]
+        assert len(set(taus)) == len(taus) == (r - 1) // 2
+        by_trace = {}
+        for (a, b, c, d), n in orders.items():
+            if n == r:
+                t = add[a][d]
+                by_trace[t] = by_trace.get(t, 0) + 1
+        assert sorted(by_trace) == sorted(taus)
+        torus = q - 1 if (q - 1) % r == 0 else q + 1
+        assert set(by_trace.values()) == {len(orders) // torus}
+
+
+@pytest.mark.parametrize("case", _manifest.PSL2_CASES,
+                         ids=[c["label"] for c in _manifest.PSL2_CASES])
+def test_order_r_classes_of_manifest_cases(case):
+    classes = harness._order_r_classes(case["q"], case["r"])
+    assert len(classes) == (case["r"] - 1) // 2
+    for g in classes:
+        assert g.field.q == case["q"]
+        assert g.det() == 1
+
+
+def test_psl2_suite_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the PSL2 suite drew a random element")
+
+    monkeypatch.setattr(groups, "random_element", refuse)
+    monkeypatch.setattr(groups, "new_walk_state", refuse)
+    assert harness.verify_suite("PSL2").passed
 
 
 def test_unknown_suite():
