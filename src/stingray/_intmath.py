@@ -5,7 +5,10 @@ against precomputed primorial segments, which tests the identical prime set
 far faster on 100-bit inputs), then Brent's variant of Pollard rho, with
 Miller-Rabin primality on the cofactors.  Miller-Rabin is deterministic for
 n < 3.317e24 via the standard 12-base set; beyond that it falls back to 64
-pseudo-random rounds and the result is flagged uncertified.
+pseudo-random rounds and the result is flagged uncertified.  `factorize`
+is the package's one integer factorizer; the ppd module caches its
+factorizations of cyclotomic values and reads primitive prime divisors
+off them.
 """
 
 import math
@@ -202,14 +205,12 @@ def _brent_rho(n, rng):
         # cycle collapsed; retry with new parameters
 
 
-def factorize(n, trial=True):
+def factorize(n):
     """Complete factorization of n >= 1.
 
     Returns (factors, certified): factors is a dict prime -> exponent, and
     certified is False only if some prime passed just the probabilistic
     Miller-Rabin rounds (inputs beyond the deterministic base-set range).
-    trial=False skips the small-prime sweep for callers that have already
-    stripped small factors.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -220,25 +221,24 @@ def factorize(n, trial=True):
         return factors, certified
 
     # Trial stage: gcd against primorial segments covers every prime < 10^6.
-    if trial:
-        for prod, chunk in _primorial_segments:
-            if n == 1 or chunk[0] * chunk[0] > n:
-                break
-            g = math.gcd(n, prod)
-            if g == 1:
-                continue
-            for p in chunk:
-                if g % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    factors[p] = e
+    for prod, chunk in _primorial_segments:
+        if n == 1 or chunk[0] * chunk[0] > n:
+            break
+        g = math.gcd(n, prod)
+        if g == 1:
+            continue
+        for p in chunk:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors[p] = e
+                g //= p
+                while g % p == 0:
                     g //= p
-                    while g % p == 0:
-                        g //= p
-                    if g == 1:
-                        break
+                if g == 1:
+                    break
 
     # Rho stage on what survives.
     stack = [n] if n > 1 else []

@@ -21,13 +21,20 @@ from . import cyclo, ffield, fmatrix, fpoly, ppd
 from ._intmath import is_prime
 from .errors import (CharacteristicOrder, NoPpdPrime, NotSquare,
                      NoUnimodularFactor, OrderMismatch, Singular,
-                     StingrayUsageError, UnsupportedR)
+                     StingrayUsageError, TooLarge, UnsupportedR)
 
 STINGRAY = "STINGRAY"
 TYPE_2I = "TYPE_2I"
 TYPE_2II = "TYPE_2II"
 PPD_GENERAL = "PPD_GENERAL"
 NOT_PPD = "NOT_PPD"
+
+# construct_stingray factors (t^r - 1)/(t - 1), of degree r - 1, into
+# (r - 1)/e factors of degree e.  Few large factors cost the most; single
+# runs on a 2-CPU VM: 4.9 s at r = 199 over GF(2) (e = 99), 18.8 s at
+# r = 251 over GF(3) (e = 125), 20 s at r = 409 over GF(2) (e = 204), and
+# over 100 s at r = 503 over GF(2) (e = 251).
+MAX_CONSTRUCT_R = 256
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,7 @@ def construct_stingray(q, d, r=None, det_one=False):
     factor is chosen so the companion block has determinant 1 (swapping
     factors, never scaling, which would destroy the fixed space); the
     choice is canonical (first eligible factor in the factor ordering).
+    Raises TooLarge when r exceeds MAX_CONSTRUCT_R.
     """
     F = ffield.field_from_q(q)
     if d < 2 or d % 2:
@@ -196,6 +204,10 @@ def construct_stingray(q, d, r=None, det_one=False):
     else:
         if not ppd.is_eppd_prime(r, q, e):
             raise NoPpdPrime("r=%d is not a %d-ppd prime for q=%d" % (r, q, e))
+    if r > MAX_CONSTRUCT_R:
+        raise TooLarge("the %d-ppd prime r=%d exceeds %d, the largest r for "
+                       "which (t^r-1)/(t-1) is factored"
+                       % (e, r, MAX_CONSTRUCT_R))
     phi = fpoly.cyclotomic_quotient(F, r)
     factors = [f for f, _ in fpoly.factor_cached(phi).factors]
     assert all(f.degree == e for f in factors)

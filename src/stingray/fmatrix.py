@@ -113,7 +113,7 @@ class DenseMatrix:
         return DenseMatrix(self.field, self.arr.copy())
 
     def rref(self):
-        R, piv, rank = _rref(self.field, self.arr)
+        R, piv, rank = _kernels.rref(self.field, self.arr)
         return DenseMatrix(self.field, R), piv, rank
 
     def rank(self):
@@ -133,7 +133,7 @@ class DenseMatrix:
         d = self._square()
         F = self.field
         aug = np.hstack([self.arr, identity(F, d).arr])
-        R, piv, rank = _rref(F, aug, limit=d)
+        R, piv, rank = _kernels.rref(F, aug, limit=d)
         if rank < d:
             raise Singular("matrix is singular")
         return DenseMatrix(F, np.ascontiguousarray(R[:, d:]))
@@ -147,10 +147,6 @@ class DenseMatrix:
 
     def __repr__(self):
         return "DenseMatrix(%r,\n%r)" % (self.field, self.arr)
-
-
-def _rref(field, arr, limit=None):
-    return _kernels.rref(field, arr, limit)
 
 
 def identity(field, d):
@@ -222,7 +218,7 @@ def solve_row(A, b):
     if bb.shape[0] != A.ncols:
         raise DimensionMismatch("length of b must match columns of A")
     aug = np.ascontiguousarray(np.hstack([A.arr.T, bb.reshape(-1, 1)]))
-    R, piv, rank = _rref(F, aug, limit=A.nrows)
+    R, piv, rank = _kernels.rref(F, aug, limit=A.nrows)
     x = np.zeros(A.nrows, dtype=np.int64)
     for r in range(rank):
         x[piv[r]] = R[r, -1]
@@ -251,7 +247,7 @@ class Subspace:
                 raise DimensionMismatch("empty row list needs ambient_dim")
             return cls(field, np.zeros((0, ambient_dim), dtype=np.int64), [])
         arr = arr.reshape(len(rows), -1)
-        R, piv, rank = _rref(field, arr)
+        R, piv, rank = _kernels.rref(field, arr)
         return cls(field, np.ascontiguousarray(R[:rank]), piv)
 
     @classmethod
@@ -266,21 +262,22 @@ class Subspace:
     def ambient_dim(self):
         return self.basis.shape[1]
 
+    def _coords(self, W):
+        """Coordinate rows of the rows of W, or None if one lies outside.
+
+        In an RREF basis the coordinates of a vector are its entries at
+        the pivot columns, and the vector lies in the space iff those
+        coordinates reproduce it.
+        """
+        C = np.ascontiguousarray(W[:, self.pivots])
+        if not np.array_equal(_kernels.matmul(self.field, C, self.basis), W):
+            return None
+        return C
+
     def coordinates(self, v):
         """Coefficients of v in the RREF basis, or None if v is outside."""
-        F = self.field
-        w = np.array(v, dtype=np.int64).reshape(-1)
-        coeffs = []
-        for r, pc in enumerate(self.pivots):
-            c = int(w[pc])
-            coeffs.append(c)
-            if c:
-                row = self.basis[r]
-                for j in range(w.shape[0]):
-                    w[j] = F.sub_enc(int(w[j]), F.mul_enc(c, int(row[j])))
-        if np.any(w):
-            return None
-        return np.array(coeffs, dtype=np.int64)
+        c = self._coords(np.asarray(v, dtype=np.int64).reshape(1, -1))
+        return None if c is None else c[0]
 
     def contains_vector(self, v):
         return self.coordinates(v) is not None
@@ -307,15 +304,13 @@ class Subspace:
         stacked = np.vstack([top, bot])
         if stacked.shape[0] == 0:
             return Subspace.from_rows(self.field, [], ambient_dim=d)
-        R, piv, rank = _rref(self.field, stacked)
+        R, piv, rank = _kernels.rref(self.field, stacked)
         rows = [R[r, d:] for r in range(rank) if not np.any(R[r, :d])]
         return Subspace.from_rows(self.field, rows, ambient_dim=d)
 
     def is_invariant(self, g):
-        for i in range(self.dim):
-            if self.coordinates(apply_row(self.basis[i], g)) is None:
-                return False
-        return True
+        images = _kernels.matmul(g.field, self.basis, g.arr)
+        return self._coords(images) is not None
 
     def __repr__(self):
         return "Subspace(dim=%d of %d over %r)" % (
@@ -325,7 +320,7 @@ class Subspace:
 def kernel(g):
     """Left null space {v : v g = 0} as a Subspace."""
     F = g.field
-    R, piv, rank = _rref(F, np.ascontiguousarray(g.arr.T))
+    R, piv, rank = _kernels.rref(F, np.ascontiguousarray(g.arr.T))
     n = g.nrows
     free = [j for j in range(n) if j not in set(piv)]
     rows = []
@@ -353,15 +348,10 @@ def restrict(g, space):
 
     Raises NotInvariant when some basis image leaves the space.
     """
-    k = space.dim
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        w = apply_row(space.basis[i], g)
-        c = space.coordinates(w)
-        if c is None:
-            raise NotInvariant("subspace is not invariant under the matrix")
-        out[i] = c
-    return DenseMatrix(g.field, out)
+    c = space._coords(_kernels.matmul(g.field, space.basis, g.arr))
+    if c is None:
+        raise NotInvariant("subspace is not invariant under the matrix")
+    return DenseMatrix(g.field, c)
 
 
 def char_poly(g):

@@ -391,17 +391,20 @@ class RandomWalkState:
     slots: list
     acc: object
     rng: SplitMix64
-    burn_in_done: bool = False
 
 
-def new_walk_state(grp, seed=DEFAULT_SEED, nslots=12, burn_in=50):
-    slots = [grp.generators[i % len(grp.generators)] for i in range(nslots)]
+_WALK_SLOTS = 12
+_WALK_BURN_IN = 50
+
+
+def new_walk_state(grp, seed=DEFAULT_SEED):
+    slots = [grp.generators[i % len(grp.generators)]
+             for i in range(_WALK_SLOTS)]
     state = RandomWalkState(group=grp, slots=slots,
                             acc=fmatrix.identity(grp.field, grp.dim),
                             rng=SplitMix64(seed))
-    for _ in range(burn_in):
+    for _ in range(_WALK_BURN_IN):
         _walk_step(state)
-    state.burn_in_done = True
     return state
 
 

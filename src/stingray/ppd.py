@@ -6,21 +6,27 @@ such r satisfies r = 1 (mod e).
 
 q^e - 1 is factored through its cyclotomic split q^e - 1 = prod_{k | e}
 Phi_k(q), with each Phi_k(q) computed exactly by Moebius inversion and
-factored once per (q, k) pair; the per-pair cache is what keeps sweeps
-over many e for the same q cheap, since divisors k of different e repeat.
+factored once per (q, k) pair by _intmath.factorize; the per-pair cache is
+what keeps sweeps over many e for the same q cheap, since divisors k of
+different e repeat.
+
+The e-ppd primes are read off the same cached factorization of Phi_e(q).
+Every e-ppd prime divides Phi_e(q), and a prime factor r of Phi_e(q) that
+does not divide e is an e-ppd prime: q has order exactly e mod r.  Such an
+r divides no Phi_k(q) with k | e, k < e, so its multiplicity in Phi_e(q)
+is its full multiplicity in q^e - 1.
 """
 
 from dataclasses import dataclass
 
 from ._intmath import (factorization_order_descend, factorize, is_prime,
-                       is_prime_power, is_probable_prime)
+                       is_prime_power)
 from .errors import (CompositeQ, NotCoprime, NotPrime, StingrayUsageError,
                      TooLarge)
 
 _BIT_CAP = 512
 
 _phi_cache = {}        # (q, k) -> (factor dict, certified)
-_ppd_cache = {}        # (q, e) -> PpdResult
 
 
 def _mobius_divisor_data(k):
@@ -130,59 +136,6 @@ class PpdResult:
         return [r for r, _ in self.primes]
 
 
-_TRIAL_STEPS = 50000
-
-
-def _factor_ppd_part(q, e):
-    """(dict r -> multiplicity in q^e - 1, certified) over e-ppd primes.
-
-    Every e-ppd prime divides Phi_e(q) at its full multiplicity in
-    q^e - 1, and every prime factor of Phi_e(q) is either an e-ppd prime
-    or divides e, so stripping the primes of e isolates the ppd part
-    without factoring the rest of q^e - 1.  The remaining factors all lie
-    in the residue class 1 mod e, which makes class-restricted trial
-    division effective; a rho fallback covers rare large composites.
-    """
-    val = cyclotomic_value(e, q)
-    for ell in factorize(e)[0]:
-        while val % ell == 0:
-            val //= ell
-    out = {}
-    certified = True
-    c = e + 1
-    steps = 0
-    while val > 1:
-        prime, cert = is_probable_prime(val)
-        if prime:
-            certified = certified and cert
-            out[val] = out.get(val, 0) + 1
-            break
-        advanced = False
-        while steps < _TRIAL_STEPS and c * c <= val:
-            steps += 1
-            if val % c == 0:
-                m = 0
-                while val % c == 0:
-                    val //= c
-                    m += 1
-                out[c] = m
-                advanced = True
-                break
-            c += e
-        if advanced:
-            continue
-        if c * c > val:
-            # the class was swept exhaustively below sqrt, so val is prime
-            out[val] = out.get(val, 0) + 1
-            break
-        fac, cert = factorize(val, trial=False)
-        certified = certified and cert
-        for r, m in fac.items():
-            out[r] = out.get(r, 0) + m
-        break
-    return out, certified
-
-
 def primitive_prime_divisors(q, e):
     """All e-ppd primes of q^e - 1 with their multiplicities.
 
@@ -192,23 +145,15 @@ def primitive_prime_divisors(q, e):
         raise StingrayUsageError("e must be >= 1")
     if q < 2 or is_prime_power(q) is None:
         raise CompositeQ("%d is not a prime power" % q)
-    got = _ppd_cache.get((q, e))
-    if got is not None:
-        return got
     if q ** e - 1 >= 1 << _BIT_CAP:
         raise TooLarge("q^e - 1 exceeds %d bits" % _BIT_CAP)
-    if e == 1:
-        factors, certified = factor_qe_minus_one(q, 1)
-        primes = [(r, factors[r]) for r in sorted(factors)]
-    else:
-        factors, certified = _factor_ppd_part(q, e)
-        primes = []
-        for r in sorted(factors):
-            assert r % e == 1
+    factors, certified = _factor_phi(q, e)
+    primes = []
+    for r in sorted(factors):
+        if e % r:
+            assert (r - 1) % e == 0
             primes.append((r, factors[r]))
-    res = PpdResult(q=q, e=e, primes=tuple(primes), certified=certified)
-    _ppd_cache[(q, e)] = res
-    return res
+    return PpdResult(q=q, e=e, primes=tuple(primes), certified=certified)
 
 
 def smallest_ppd_prime(q, e):

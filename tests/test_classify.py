@@ -4,7 +4,7 @@ from stingray import (_manifest, classify, cyclo, ffield, fmatrix, fpoly,
                       groups)
 from stingray._intmath import SplitMix64
 from stingray.errors import (NoPpdPrime, NoUnimodularFactor, Singular,
-                             StingrayUsageError, UnsupportedR)
+                             StingrayUsageError, TooLarge, UnsupportedR)
 
 F2 = ffield.make_field(2)
 F3 = ffield.make_field(3)
@@ -148,6 +148,21 @@ def test_construct_stingray_no_ppd_prime():
     with pytest.raises(NoPpdPrime) as info:
         classify.construct_stingray(2, 12)
     assert "63" in str(info.value)
+
+
+def test_construct_stingray_large_r_is_too_large(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("(t^r-1)/(t-1) must not be built")
+
+    monkeypatch.setattr(fpoly, "cyclotomic_quotient", refuse)
+    # 1984563001 is the only 8-ppd prime of 251; 8191 = 2^13 - 1 is prime
+    for q, d, r, want in ((251, 16, None, 1984563001), (2, 26, None, 8191),
+                          (2, 26, 8191, 8191)):
+        with pytest.raises(TooLarge) as info:
+            classify.construct_stingray(q, d, r=r)
+        msg = str(info.value)
+        assert "%d-ppd prime r=%d" % (d // 2, want) in msg, msg
+        assert str(classify.MAX_CONSTRUCT_R) in msg
 
 
 def test_construct_stingray_validation():

@@ -73,6 +73,15 @@ def test_construct_no_ppd_prime(capsys):
     assert "63" in err
 
 
+def test_construct_large_ppd_prime_is_one_line_error(capsys):
+    code, out, err = run(capsys, "construct", "stingray", "--q", "251",
+                         "--d", "16")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "internal" not in err
+    assert "r=1984563001" in err and "8-ppd" in err
+
+
 def test_construct_delperm_and_order(capsys, tmp_path):
     f = str(tmp_path / "a7.mgrp")
     code, _, _ = run(capsys, "construct", "delperm", "--n", "7", "--p", "2",

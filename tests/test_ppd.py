@@ -111,3 +111,17 @@ def test_validation_and_caps():
         ppd.primitive_prime_divisors(2, 0)
     with pytest.raises(TooLarge):
         ppd.primitive_prime_divisors(2, 600)
+
+
+def test_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import n_order
+    prime_powers = [q for q in range(2, 33) if len(sympy.factorint(q)) == 1]
+    for q in prime_powers:
+        for e in range(1, 21):
+            want = tuple(sorted(
+                (r, m) for r, m in sympy.factorint(q ** e - 1).items()
+                if n_order(q, r) == e))
+            got = ppd.primitive_prime_divisors(q, e)
+            assert got.primes == want, (q, e)
+            assert got.certified, (q, e)
