@@ -14,10 +14,15 @@ their operands and make no copies of them:
   mul        prime field: product mod p
              tabled extension: the single gather exp[log[x] + log[y]];
              the zero sentinel of ffield's tables makes it exact on zeros
-             extension above ffield.TABLE_CAP: FieldSpec.mul_enc per pair
+             extension above ffield.TABLE_CAP: the base-p digits of x
+             times the digits of y shifted by i, reduced by the field's
+             table of t^k mod the modulus (O(a^2) per product); encodings
+             are int64 while q < 2^62 and Python ints from there on
 
-Negation is sub(F, 0, x).  The characteristic polynomial works on Python
-ints with the FieldSpec scalar methods.
+_dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul
+and the untabled product both sum through it.  Negation is sub(F, 0, x).
+The characteristic polynomial works on Python ints with the FieldSpec
+scalar methods.
 """
 
 import numpy as np
@@ -53,23 +58,38 @@ def sub(F, x, y):
     return _digitwise(F, np.subtract, x, y)
 
 
+def _dot_mod(A, B, p):
+    """(A @ B) mod p for entries in [0, p), exact in int64: the inner axis
+    is summed in chunks of at most 2^62 / (p-1)^2 products."""
+    step = max(1, (1 << 62) // ((p - 1) * (p - 1)))
+    C = A[..., :step] @ B[..., :step, :] % p
+    for s in range(step, A.shape[-1], step):
+        C = (C + A[..., s:s + step] @ B[..., s:s + step, :]) % p
+    return C
+
+
 def mul(F, x, y):
     """Elementwise product of two broadcastable encoding arrays."""
     if F.a == 1:
         return x * y % F.p
     if F._log is not None:
         return F._exp[F._log[x] + F._log[y]]
-    return np.frompyfunc(F.mul_enc, 2, 1)(x, y).astype(np.int64)
+    # digits (..., a+1), the last one 0; row i of yd[..., F._shift] is y's
+    # digits shifted up by i, so xd times it is the digit polynomial product
+    pw = F._pw
+    xd = np.asarray(x, dtype=pw.dtype)[..., None] // pw % F.p
+    yd = np.asarray(y, dtype=pw.dtype)[..., None] // pw % F.p
+    c = _dot_mod(xd[..., None, :], yd[..., F._shift], F.p)[..., 0, :]
+    return _dot_mod(c, F._red, F.p) @ pw[:-1]
 
 
 def matmul(F, A, B):
     A = np.ascontiguousarray(A, dtype=np.int64)
     B = np.ascontiguousarray(B, dtype=np.int64)
-    kk = A.shape[1]
-    if F.a == 1 and kk * (F.p - 1) * (F.p - 1) < (1 << 62):
-        return (A @ B) % F.p
+    if F.a == 1:
+        return _dot_mod(A, B, F.p)
     C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for t in range(kk):
+    for t in range(A.shape[1]):
         C = add(F, C, mul(F, A[:, t:t + 1], B[t:t + 1, :]))
     return C
 

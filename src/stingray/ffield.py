@@ -10,9 +10,10 @@ Extension fields up to q <= TABLE_CAP = 2^20 get exp/log tables, built
 once per field and shared through an interning cache.  exp holds g^i for
 0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is the
 sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
-encodings, zero included, with no test (array or scalar alike).  Larger
-extension fields multiply by polynomial arithmetic on coefficient lists
-(_pmulmod) per operation.
+encodings, zero included, with no test (array or scalar alike).  Every
+product above the cap, scalar or array, is _kernels.mul on base-p digits,
+reduced by the field's table of t^k mod the modulus (FieldSpec._red); the
+tables themselves are filled by doubling through that same product.
 
 Field construction goes through fpoly over the prime field: the modulus,
 when not supplied, is the lexicographically smallest monic irreducible of
@@ -26,7 +27,7 @@ they are deterministic for a fixed field pair.
 
 import numpy as np
 
-from . import fpoly
+from . import _kernels, fpoly
 from ._intmath import factorize, is_prime, factorization_order_descend
 from .errors import (DegreeMismatch, DivisionByZero, FieldMismatch, NoEmbedding,
                      NotPrime, ReducibleModulus)
@@ -34,32 +35,6 @@ from .errors import (DegreeMismatch, DivisionByZero, FieldMismatch, NoEmbedding,
 TABLE_CAP = 1 << 20
 
 _registry = {}
-
-
-# --- the product of fields without tables: coefficient lists over F_p,
-# ascending; faster per product than fpoly.DensePoly arithmetic ---
-
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmulmod(f, g, mod, p):
-    res = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                res[i + j] = (res[i + j] + fi * gj) % p
-    # reduce mod the monic modulus
-    dm = len(mod) - 1
-    for i in range(len(res) - 1, dm - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(dm):
-                res[i - dm + j] = (res[i - dm + j] - c * mod[j]) % p
-    return _ptrim(res)
 
 
 def _smallest_irreducible(p, a):
@@ -76,8 +51,8 @@ def _smallest_irreducible(p, a):
 class FieldSpec:
     """The field GF(p^a).  Immutable; instances are interned by make_field."""
 
-    __slots__ = ("p", "a", "q", "modulus", "_exp", "_log",
-                 "_q1_factors", "_gen_enc", "_embeddings")
+    __slots__ = ("p", "a", "q", "modulus", "_exp", "_log", "_pw", "_red",
+                 "_shift", "_q1_factors", "_gen_enc", "_embeddings")
 
     def __init__(self, p, a, modulus):
         self.p = p
@@ -88,30 +63,25 @@ class FieldSpec:
         self._gen_enc = None
         self._embeddings = {}
         self._exp = self._log = None
-        if a > 1 and self.q <= TABLE_CAP:
-            self._exp, self._log = self._build_tables()
+        if a > 1:
+            # what _kernels.mul needs without tables: the powers p^0..p^a
+            # (digit a of an encoding is 0); row k < 2a-1 of _red, the
+            # digits of t^k mod the modulus; _shift[i, k] = k - i, the digit
+            # of y that digit i of x meets in degree k (a where there is none)
+            dt = np.int64 if self.q < 1 << 62 else object
+            self._pw = np.array([p ** i for i in range(a + 1)], dtype=dt)
+            red = [[int(i == k) for i in range(a)] for k in range(a)]
+            for _ in range(a - 1):
+                top = red[-1]
+                red.append([(lo - top[-1] * m) % p
+                            for lo, m in zip([0] + top[:-1], modulus)])
+            self._red = np.array(red, dtype=dt)
+            ks = np.arange(2 * a - 1) - np.arange(a + 1)[:, None]
+            self._shift = np.where((ks >= 0) & (ks < a), ks, a)
+            if self.q <= TABLE_CAP:
+                self._exp, self._log = self._build_tables()
 
     # -- construction helpers --
-
-    def _mul_raw(self, x, y):
-        """Encoding product by polynomial arithmetic (no tables)."""
-        f = self._decode(x)
-        g = self._decode(y)
-        return self._encode(_pmulmod(f, g, list(self.modulus), self.p))
-
-    def _decode(self, enc):
-        p = self.p
-        out = []
-        for _ in range(self.a):
-            out.append(enc % p)
-            enc //= p
-        return _ptrim(out)
-
-    def _encode(self, coeffs):
-        enc = 0
-        for c in reversed(coeffs):
-            enc = enc * self.p + c
-        return enc
 
     def q1_factors(self):
         if self._q1_factors is None:
@@ -124,13 +94,17 @@ class FieldSpec:
         q1 = self.q - 1
         gen = self.generator_enc()
         exp = np.zeros(4 * q1 + 1, dtype=np.int64)
+        exp[0] = 1
+        m, gm = 1, gen          # exp[:m] holds g^0..g^(m-1); gm = g^m
+        while m < q1:
+            n = min(m, q1 - m)
+            exp[m:m + n] = _kernels.mul(self, exp[:n], gm)
+            m += n
+            gm = self.mul_enc(gm, gm)
+        assert self.mul_enc(exp.item(q1 - 1), gen) == 1, "generator order wrong"
+        exp[q1:2 * q1] = exp[:q1]
         log = np.full(self.q, 2 * q1, dtype=np.int64)
-        x = 1
-        for i in range(q1):
-            exp[i] = exp[i + q1] = x
-            log[x] = i
-            x = self._mul_raw(x, gen)
-        assert x == 1, "generator order wrong"
+        log[exp[:q1]] = np.arange(q1)
         return exp, log
 
     # -- scalar encoding arithmetic --
@@ -172,8 +146,8 @@ class FieldSpec:
         if self.a == 1:
             return x * y % self.p
         if self._log is not None:
-            return int(self._exp[self._log[x] + self._log[y]])
-        return self._mul_raw(x, y)
+            return self._exp.item(self._log.item(x) + self._log.item(y))
+        return int(_kernels.mul(self, x, y))
 
     def inv_enc(self, x):
         if x == 0:
@@ -182,7 +156,7 @@ class FieldSpec:
             return pow(x, self.p - 2, self.p)
         if self._log is not None:
             qm1 = self.q - 1
-            return int(self._exp[(qm1 - self._log[x]) % qm1])
+            return self._exp.item((qm1 - self._log.item(x)) % qm1)
         return self.pow_enc(x, self.q - 2)
 
     def pow_enc(self, x, n):
@@ -191,7 +165,8 @@ class FieldSpec:
         if x == 0:
             return 0 if n else 1
         if self._log is not None and self.a > 1:
-            return int(self._exp[(self._log[x] * (n % (self.q - 1))) % (self.q - 1)])
+            return self._exp.item(self._log.item(x) * (n % (self.q - 1))
+                                  % (self.q - 1))
         r = 1
         b = x
         while n:
@@ -221,7 +196,9 @@ class FieldSpec:
             else:
                 fac = self.q1_factors()
                 cofs = [(self.q - 1) // ell for ell in fac]
-                for cand in range(2, self.q):
+                # for a > 1 the encodings below p are the prime subfield,
+                # whose orders divide p - 1 < q - 1
+                for cand in range(2 if self.a == 1 else self.p, self.q):
                     if all(self.pow_enc(cand, c) != 1 for c in cofs):
                         self._gen_enc = cand
                         break

@@ -70,8 +70,13 @@ def _header_int(lines, idx, key):
 
 
 def parse_mgrp(path):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError("non-ASCII byte 0x%02x" % raw[exc.start],
+                         line=raw.count(b"\n", 0, exc.start) + 1)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -281,16 +286,6 @@ def _suite_permmod():
 
 # --- PSL2 ---
 
-def _module_spec(raw):
-    if raw == "natural":
-        return groups.NATURAL
-    if raw == "symcube":
-        return groups.SYMCUBE
-    if isinstance(raw, tuple) and raw and raw[0] == "twist":
-        return groups.twist(raw[1], raw[2])
-    raise StingrayUsageError("unknown module spec %r" % (raw,))
-
-
 def _order_r_classes(q, r):
     """One element from each conjugacy class of order r in SL2(q), for an
     odd prime r other than p: the companion matrices of t^2 - tau t + 1,
@@ -323,7 +318,7 @@ def _suite_psl2():
     for case in _manifest.PSL2_CASES:
         q, r, e = case["q"], case["r"], case["e"]
         label = case["label"].upper()
-        mod = groups.sl2_module(q, _module_spec(case["module"]))
+        mod = groups.sl2_module(q, case["module"])
         classes = _order_r_classes(q, r)
         found = stingray_hits = nondiag = 0
         for g in classes:

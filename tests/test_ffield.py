@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,25 @@ def test_element_order_divides_group_order():
 def test_generator_is_primitive():
     for F in FIELDS:
         assert F.order_enc(F.generator_enc()) == F.q - 1
+
+
+def test_generator_is_first_primitive_encoding():
+    # generator_enc starts its scan at p for a > 1; no encoding below p
+    # (the prime subfield) can generate, so a scan from 1 finds the same
+    for F in FIELDS + [ffield.make_field(p, a) for p, a in
+                       ((2, 4), (2, 8), (3, 5), (5, 3), (7, 2))]:
+        assert F.q <= 256
+        assert F.generator_enc() == next(
+            c for c in range(1, F.q) if F.order_enc(c) == F.q - 1)
+
+
+@pytest.mark.parametrize("p", [1000003, 2147483629])
+def test_generator_of_large_quadratic_field(p):
+    F = ffield.make_field(p, 2)
+    t = time.perf_counter()
+    g = F.generator_enc()
+    assert time.perf_counter() - t < 1.0
+    assert F.order_enc(g) == F.q - 1
 
 
 def test_elements_enumeration():

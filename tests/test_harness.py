@@ -1,10 +1,13 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stingray import _manifest, classify, ffield, groups, harness
 from stingray.errors import (NotPrime, ParseError, ReducibleModulus,
-                             SingularGenerator, StingrayUsageError)
+                             SingularGenerator, StingrayError,
+                             StingrayUsageError)
 
 import oracles
 
@@ -99,6 +102,56 @@ def test_parse_reducible_modulus(tmp_path):
     _write(p, "MGRP v1\np 2\na 2\nmodulus 1 0 1\ndim 1\nngens 1\n1\n")
     with pytest.raises(ReducibleModulus):
         harness.parse_mgrp(p)
+
+
+def test_parse_non_ascii_is_a_parse_error(tmp_path):
+    p = tmp_path / "cafe.mgrp"
+    p.write_bytes("MGRP v1\np 2\na 1\ndim 1\nngens 1\n1\n# café\n"
+                  .encode("utf-8"))
+    with pytest.raises(ParseError) as e:
+        harness.parse_mgrp(p)
+    assert e.value.line == 7
+
+
+_VALID_MGRP = b"\n".join(
+    l.encode("ascii") for l in harness.mgrp_lines(harness.MgrpFile(
+        group=groups.classical_generators("SL", 2, 9), comments=("# c",))))
+
+
+def _parse_or_typed_error(path, data):
+    path.write_bytes(data)
+    try:
+        assert isinstance(harness.parse_mgrp(path), harness.MgrpFile)
+    except StingrayError:
+        pass
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=300))
+def test_parse_mgrp_fuzz_arbitrary_bytes(tmp_path, data):
+    _parse_or_typed_error(tmp_path / "fuzz.mgrp", b"MGRP v1\n" + data)
+    _parse_or_typed_error(tmp_path / "fuzz.mgrp", data)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(index=st.integers(0, _VALID_MGRP.count(b"\n")),
+       line=st.one_of(st.binary(max_size=40),
+                      st.lists(st.integers(-3, 300), max_size=6).map(
+                          lambda xs: " ".join(map(str, xs)).encode())),
+       mode=st.sampled_from(["replace", "insert", "delete", "prefix"]))
+def test_parse_mgrp_fuzz_line_mutations(tmp_path, index, line, mode):
+    lines = _VALID_MGRP.split(b"\n")
+    if mode == "replace":
+        lines[index] = line.replace(b"\n", b" ")
+    elif mode == "insert":
+        lines.insert(index, line.replace(b"\n", b" "))
+    elif mode == "delete":
+        del lines[index]
+    else:
+        lines[index] = line.replace(b"\n", b" ") + lines[index]
+    _parse_or_typed_error(tmp_path / "fuzz.mgrp", b"\n".join(lines) + b"\n")
 
 
 def test_default_seed_env_override(monkeypatch):

@@ -1,6 +1,6 @@
 """The single kernel path against naive oracles, on every field case:
 prime, p = 2 extension, odd extension, and extension fields above the
-exp/log table cap, which multiply through FieldSpec.mul_enc."""
+exp/log table cap, which multiply base-p digit arrays."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,13 @@ from stingray.fmatrix import (DenseMatrix, _poly_at, char_poly, companion,
 
 import oracles
 
-# the last two are above ffield.TABLE_CAP and have no exp/log tables
+# GF(2^21), GF(3^13) and GF(2147483629^2) are above ffield.TABLE_CAP and
+# have no exp/log tables; at p = 2147483629 each (p-1)^2 product is just
+# under 2^62, so _dot_mod sums one term at a time, and q = p^2 is too
 FIELDS = [ffield.make_field(2), ffield.make_field(251),
           ffield.make_field(2, 3), ffield.make_field(3, 2),
-          ffield.field_from_q(2 ** 21), ffield.field_from_q(3 ** 13)]
+          ffield.field_from_q(2 ** 21), ffield.field_from_q(3 ** 13),
+          ffield.make_field(2147483629), ffield.make_field(2147483629, 2)]
 
 
 @pytest.fixture(params=FIELDS, ids=lambda F: "GF(%d)" % F.q)
@@ -100,6 +103,47 @@ def test_all_pairs_match_oracle(q):
         assert kernel(F, xs, ys).tolist() == want_op
         assert kernel(F, col, row).ravel().tolist() == want_op
     assert [F.neg_enc(y) for y in range(q)] == want["sub"][:q]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_untabled_product_all_pairs(q, monkeypatch):
+    T = ffield.field_from_q(q)
+    monkeypatch.setattr(ffield, "TABLE_CAP", 1)
+    # the same field without exp/log tables, built directly, not registered
+    F = ffield.FieldSpec(T.p, T.a, T.modulus)
+    assert F._log is None and T._log is not None
+    _, mul = _oracle_ops(F)
+    xs = np.repeat(np.arange(q), q)
+    ys = np.tile(np.arange(q), q)
+    want = [mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert _kernels.mul(F, xs, ys).tolist() == want
+    col, row = np.arange(q)[:, None], np.arange(q)[None, :]
+    assert _kernels.mul(F, col, row).ravel().tolist() == want
+    for y in range(q):
+        assert _kernels.mul(F, np.arange(q), np.int64(y)).tolist() == \
+            want[y::q]
+    assert [F.mul_enc(x, y) for x in range(q) for y in range(q)] == want
+    assert [F.inv_enc(x) for x in range(1, q)] == \
+        [T.inv_enc(x) for x in range(1, q)]
+
+
+@pytest.mark.parametrize("p,a", [(2, 64), (251, 8)])
+def test_scalar_ops_above_int64(p, a):
+    # q >= 2^62: encodings outgrow int64 and the product runs on Python ints
+    F = ffield.make_field(p, a)
+    assert F.q >= 1 << 62
+    mod = list(F.modulus)
+    rng = SplitMix64(25)
+    xs = [1 + rng.randrange(F.q - 1) for _ in range(12)]
+    for x, y in zip(xs, xs[1:]):
+        assert F.mul_enc(x, y) == oracles.gf_mul(x, y, p, mod)
+    for x in xs[:4]:
+        assert oracles.gf_mul(x, F.inv_enc(x), p, mod) == 1
+        want = 1
+        for n in range(6):
+            assert F.pow_enc(x, n) == want
+            want = oracles.gf_mul(want, x, p, mod)
+        assert F.pow_enc(x, F.q - 1) == 1
 
 
 def test_inverse(field):
