@@ -14,16 +14,27 @@ their operands and make no copies of them:
   mul        prime field: product mod p
              tabled extension: the single gather exp[log[x] + log[y]];
              the zero sentinel of ffield's tables makes it exact on zeros
-             extension above ffield.TABLE_CAP: the base-p digits of x
-             times the digits of y shifted by i, reduced by the field's
-             table of t^k mod the modulus (O(a^2) per product); encodings
-             are int64 while q < 2^62 and Python ints from there on
+             extension above ffield.TABLE_CAP: ring_mul on the base-p
+             digits of x and y, GF(p^a) being GF(p)[t]/(modulus);
+             encodings are int64 while q < 2^62 and Python ints from there
+             on, digits always int64
+
+ring_mul is the one product of a quotient ring GF(p^a)[t]/(f), deg f = k,
+on base-p digit vectors: digit s of coefficient i at index a*i + s, then a
+trailing 0.  The digit polynomial product is one gather of y's digits by
+shift_index(a, k) and one _dot_mod; its reduction is a second _dot_mod by
+a table whose row (2a-1)*I + S holds the digits of alpha^S t^I mod f
+(alpha the class of the variable of GF(p^a)).  Its two callers are mul
+above (a = 1, f the field's modulus; FieldSpec._shift/_red) and
+fpoly.powmod (fpoly.QuotientRing).
 
 _dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul
-and the untabled product both sum through it.  Negation is sub(F, 0, x).
-The characteristic polynomial works on Python ints with the FieldSpec
-scalar methods.
+and ring_mul both sum through it.  Negation is sub(F, 0, x).  The
+characteristic polynomial works on Python ints with the FieldSpec scalar
+methods.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,10 +73,37 @@ def _dot_mod(A, B, p):
     """(A @ B) mod p for entries in [0, p), exact in int64: the inner axis
     is summed in chunks of at most 2^62 / (p-1)^2 products."""
     step = max(1, (1 << 62) // ((p - 1) * (p - 1)))
+    if A.shape[-1] <= step:
+        return A @ B % p
     C = A[..., :step] @ B[..., :step, :] % p
     for s in range(step, A.shape[-1], step):
         C = (C + A[..., s:s + step] @ B[..., s:s + step, :]) % p
     return C
+
+
+@lru_cache(maxsize=16)
+def shift_index(a, k):
+    """Gather index of ring_mul over GF(p^a)[t]/(f), deg f = k.
+
+    Entry (a*i + s, (2a-1)*I + S) is the index of the digit (I - i, S - s)
+    of y that digit (i, s) of x meets in the term alpha^S t^I, or a*k (y's
+    trailing 0) where there is none.  Shared and read-only.
+    """
+    i, s = np.divmod(np.arange(a * k), a)
+    big_i, big_s = np.divmod(np.arange((2 * k - 1) * (2 * a - 1)), 2 * a - 1)
+    di = big_i - i[:, None]
+    ds = big_s - s[:, None]
+    shift = np.where((di >= 0) & (di < k) & (ds >= 0) & (ds < a),
+                     a * di + ds, a * k)
+    shift.flags.writeable = False
+    return shift
+
+
+def ring_mul(p, shift, red, x, y):
+    """Product of broadcastable digit arrays (..., n+1), last digit 0, in
+    the quotient ring with gather index `shift` and reduction table `red`."""
+    c = _dot_mod(x[..., None, :-1], y[..., shift], p)[..., 0, :]
+    return _dot_mod(c, red, p)
 
 
 def mul(F, x, y):
@@ -74,13 +112,13 @@ def mul(F, x, y):
         return x * y % F.p
     if F._log is not None:
         return F._exp[F._log[x] + F._log[y]]
-    # digits (..., a+1), the last one 0; row i of yd[..., F._shift] is y's
-    # digits shifted up by i, so xd times it is the digit polynomial product
+    # digits (..., a+1), the last one 0 (x < p^a)
     pw = F._pw
-    xd = np.asarray(x, dtype=pw.dtype)[..., None] // pw % F.p
-    yd = np.asarray(y, dtype=pw.dtype)[..., None] // pw % F.p
-    c = _dot_mod(xd[..., None, :], yd[..., F._shift], F.p)[..., 0, :]
-    return _dot_mod(c, F._red, F.p) @ pw[:-1]
+    xd = (np.asarray(x, dtype=pw.dtype)[..., None] // pw % F.p).astype(
+        np.int64, copy=False)
+    yd = (np.asarray(y, dtype=pw.dtype)[..., None] // pw % F.p).astype(
+        np.int64, copy=False)
+    return ring_mul(F.p, F._shift, F._red, xd, yd) @ pw
 
 
 def matmul(F, A, B):

@@ -31,9 +31,10 @@ NOT_PPD = "NOT_PPD"
 
 # construct_stingray factors (t^r - 1)/(t - 1), of degree r - 1, into
 # (r - 1)/e factors of degree e.  Few large factors cost the most; single
-# runs on a 2-CPU VM: 4.9 s at r = 199 over GF(2) (e = 99), 18.8 s at
-# r = 251 over GF(3) (e = 125), 20 s at r = 409 over GF(2) (e = 204), and
-# over 100 s at r = 503 over GF(2) (e = 251).
+# runs of fpoly.factor on a 2-vCPU VM: 0.19 s at r = 199 over GF(2)
+# (e = 99), 0.72 s at r = 251 over GF(3) (e = 125), 1.3 s at r = 409 over
+# GF(2) (e = 204) and 8.2 s at r = 503 over GF(2) (e = 251), most of it
+# now in the scalar gcd of the distinct-degree split.
 MAX_CONSTRUCT_R = 256
 
 

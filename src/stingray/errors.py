@@ -129,6 +129,10 @@ class CharTooSmallForSymcube(StingrayError):
     pass
 
 
+class UnknownModuleSpec(StingrayUsageError):
+    """An SL2 module spec other than NATURAL, SYMCUBE or twist(s, t)."""
+
+
 class OddDimensionSymplectic(StingrayError):
     pass
 

@@ -11,8 +11,9 @@ once per field and shared through an interning cache.  exp holds g^i for
 0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is the
 sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
 encodings, zero included, with no test (array or scalar alike).  Every
-product above the cap, scalar or array, is _kernels.mul on base-p digits,
-reduced by the field's table of t^k mod the modulus (FieldSpec._red); the
+product above the cap, scalar or array, is _kernels.ring_mul on base-p
+digits in fpoly.QuotientRing of the modulus over GF(p), whose gather index
+and reduction table the field keeps (FieldSpec._shift, _red); the exp
 tables themselves are filled by doubling through that same product.
 
 Field construction goes through fpoly over the prime field: the modulus,
@@ -65,19 +66,12 @@ class FieldSpec:
         self._exp = self._log = None
         if a > 1:
             # what _kernels.mul needs without tables: the powers p^0..p^a
-            # (digit a of an encoding is 0); row k < 2a-1 of _red, the
-            # digits of t^k mod the modulus; _shift[i, k] = k - i, the digit
-            # of y that digit i of x meets in degree k (a where there is none)
+            # (digit a of an encoding is 0), and the gather index and
+            # reduction table of GF(p)[t]/(modulus)
             dt = np.int64 if self.q < 1 << 62 else object
             self._pw = np.array([p ** i for i in range(a + 1)], dtype=dt)
-            red = [[int(i == k) for i in range(a)] for k in range(a)]
-            for _ in range(a - 1):
-                top = red[-1]
-                red.append([(lo - top[-1] * m) % p
-                            for lo, m in zip([0] + top[:-1], modulus)])
-            self._red = np.array(red, dtype=dt)
-            ks = np.arange(2 * a - 1) - np.arange(a + 1)[:, None]
-            self._shift = np.where((ks >= 0) & (ks < a), ks, a)
+            ring = fpoly.QuotientRing(fpoly.DensePoly(make_field(p), modulus))
+            self._shift, self._red = ring.shift, ring.red
             if self.q <= TABLE_CAP:
                 self._exp, self._log = self._build_tables()
 
@@ -164,7 +158,9 @@ class FieldSpec:
             raise ValueError("pow_enc takes nonnegative exponents")
         if x == 0:
             return 0 if n else 1
-        if self._log is not None and self.a > 1:
+        if self.a == 1:
+            return pow(x, n, self.p)
+        if self._log is not None:
             return self._exp.item(self._log.item(x) * (n % (self.q - 1))
                                   % (self.q - 1))
         r = 1

@@ -7,8 +7,25 @@ Cantor-Zassenhaus equal-degree splitting (the trace-map variant in
 characteristic 2).  The randomness is a fixed-seed splitmix64 stream, so
 factor() is deterministic, and the factor list is sorted by (degree,
 ascending coefficient tuple) to make the output canonical.
+
+DensePoly arithmetic (sum, product, division, gcd) is scalar, one
+FieldSpec call per coefficient pair.  Powers modulo a polynomial are not:
+powmod works in QuotientRing, GF(q)[t]/(f) on base-p digit vectors, whose
+product is _kernels.ring_mul (Lidl-Niederreiter, Finite Fields, ch. 2).
+The ring's tables are built with array operations and kept in a single
+slot while consecutive calls share a modulus (the Rabin chain, the
+root-order descent, the distinct- and equal-degree steps).  Modulo t - c
+the ring is GF(q) itself and a power is FieldSpec.pow_enc of f(c).
+The order of t modulo an irreducible f (Celler-Leedham-Green, 1997) is
+read off the factored q^k - 1 with such powers.  factor_cached and
+root_order_in_quotient memoize in LRU caches of CACHE_CAP entries each.
 """
 
+from collections import OrderedDict
+
+import numpy as np
+
+from . import _kernels, ppd
 from ._intmath import SplitMix64, factorize, factorization_order_descend
 from .errors import (CharacteristicDividesR, DivisionByZero, FieldMismatch,
                      ZeroPolynomial)
@@ -207,16 +224,109 @@ def lcm(f, g):
     return ((f * g) // gcd(f, g)).monic()
 
 
+class QuotientRing:
+    """GF(q)[t]/(f), f monic of degree k >= 1, q = p^a, on digit vectors.
+
+    An element is an int64 vector of the a*k base-p digits of its k
+    coefficients, digit s of coefficient i at index a*i + s, then a
+    trailing 0; mul is _kernels.ring_mul with shift_index(a, k) and `red`,
+    whose row (2a-1)*I + S holds the digits of alpha^S t^I mod f.
+    FieldSpec uses the ring over GF(p) of its own modulus for its products
+    above the table cap.
+    """
+
+    __slots__ = ("field", "modulus", "k", "shift", "red")
+
+    def __init__(self, f):
+        F = f.field
+        p, a, k = F.p, F.a, f.degree
+        self.field = F
+        self.modulus = f.coeffs
+        self.k = k
+        self.shift = _kernels.shift_index(a, k)
+        # T[I] = t^I mod f, I < 2k - 1, as k coefficient encodings
+        dt = np.int64 if F.q < 1 << 62 else object
+        T = np.zeros((2 * k - 1, k), dtype=dt)
+        T[np.arange(k), np.arange(k)] = 1
+        if k > 1:
+            neg = _kernels.sub(F, 0, np.array(f.coeffs[:k], dtype=dt))
+            T[k] = neg
+            for i in range(k + 1, 2 * k - 1):
+                T[i, 1:] = T[i - 1, :-1]
+                T[i] = _kernels.add(F, T[i], _kernels.mul(F, T[i - 1, -1], neg))
+        if a > 1:
+            # alpha^S for S < 2a - 1, then digits of alpha^S T[I]
+            alpha = F._red @ F._pw
+            T = _kernels.mul(F, T[:, None, :], alpha[:, None])
+            T = (T[..., None] // F._pw[:-1] % p).astype(np.int64)
+        self.red = np.zeros(((2 * k - 1) * (2 * a - 1), a * k + 1),
+                            dtype=np.int64)
+        self.red[:, :-1] = T.reshape(self.red.shape[0], a * k)
+
+    def digits(self, g):
+        """Digit vector of g, of degree < k."""
+        F = self.field
+        x = np.zeros(F.a * self.k + 1, dtype=np.int64)
+        if F.a == 1:
+            x[:len(g.coeffs)] = g.coeffs
+        else:
+            x[:F.a * len(g.coeffs)] = (np.array(g.coeffs, dtype=F._pw.dtype)
+                                       [:, None] // F._pw[:-1] % F.p).ravel()
+        return x
+
+    def poly(self, x):
+        """The DensePoly of degree < k with digit vector x."""
+        F = self.field
+        if F.a == 1:
+            return DensePoly(F, x[:-1].tolist())
+        return DensePoly(F, (x[:-1].reshape(self.k, F.a) @ F._pw[:-1]).tolist())
+
+    def mul(self, x, y):
+        return _kernels.ring_mul(self.field.p, self.shift, self.red, x, y)
+
+    def pow(self, x, e):
+        """x^e, left-to-right square-and-multiply; e >= 0 may be big."""
+        if e == 0:
+            one = np.zeros_like(x)
+            one[0] = 1
+            return one
+        r = x
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, x)
+        return r
+
+
+_last_ring = [None]
+
+
+def _ring(f):
+    """QuotientRing of monic f; rebuilt only when the modulus changes."""
+    R = _last_ring[0]
+    if R is None or R.modulus != f.coeffs or R.field != f.field:
+        R = _last_ring[0] = QuotientRing(f)
+    return R
+
+
 def powmod(f, e, mod):
-    """f^e mod `mod`, square-and-multiply; e may be a big integer."""
-    result = DensePoly(f.field, [1]) % mod
-    base = f % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    """f^e mod `mod`; e >= 0 may be a big integer."""
+    f._check(mod)
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    F = f.field
+    if mod.degree < 1:
+        if mod.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        return DensePoly(F, [])
+    if mod.degree == 1:
+        c = F.mul_enc(F.neg_enc(mod.coeffs[0]), F.inv_enc(mod.coeffs[1]))
+        return constant(F, F.pow_enc(f.eval_enc(c), e))
+    mod = mod.monic()
+    if f.degree >= mod.degree:
+        f = f % mod
+    R = _ring(mod)
+    return R.poly(R.pow(R.digits(f), e))
 
 
 def is_irreducible(f):
@@ -322,13 +432,15 @@ def _equal_degree(f, d, rng):
                 w = powmod(h, (q ** d - 1) // 2, f)
                 g = gcd(w - constant(F, 1), f)
         else:
-            # trace map sum h^(2^i), i < k*d, over GF(2^k)
-            t = h % f
+            # trace map sum h^(2^i), i < k*d, over GF(2^k); digits add
+            # mod 2
+            R = _ring(f)
+            t = R.digits(h % f)
             acc = t
             for _ in range(F.a * d - 1):
-                t = powmod(t, 2, f)
-                acc = acc + t
-            g = gcd(acc, f)
+                t = R.mul(t, t)
+                acc = acc ^ t
+            g = gcd(R.poly(acc), f)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
@@ -370,7 +482,28 @@ def factor(f):
     return Factorization(unit, pieces)
 
 
-_factor_cache = {}
+# Entries of each memo below: a sweep no longer grows them without limit,
+# and classify-small's traced job (600 lookups, its repeats nearly all
+# among the few characteristic polynomials of GL(4,2)) never evicts, so
+# its hit ratio is that of an unbounded memo.  Over 18000 classify-small
+# items the factor memo misses 5909 times against 5698 unbounded.
+CACHE_CAP = 1 << 12
+
+_factor_cache = OrderedDict()
+_root_order_cache = OrderedDict()
+
+
+def _memo(cache, key, compute):
+    """cache[key], computed on a miss; the least recently used entry goes
+    when the cache outgrows CACHE_CAP."""
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = compute()
+        if len(cache) > CACHE_CAP:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return got
 
 
 def factor_cached(f):
@@ -381,11 +514,7 @@ def factor_cached(f):
     in practice, so sharing them is safe.
     """
     key = (f.field.p, f.field.a, f.field.modulus, tuple(f.coeffs))
-    got = _factor_cache.get(key)
-    if got is None:
-        got = factor(f)
-        _factor_cache[key] = got
-    return got
+    return _memo(_factor_cache, key, lambda: factor(f))
 
 
 def roots(f):
@@ -407,9 +536,6 @@ def cyclotomic_quotient(field, r):
     return DensePoly(field, [1] * r)
 
 
-_root_order_cache = {}
-
-
 def root_order_in_quotient(f):
     """Multiplicative order of t in GF(q)[t]/(f), f irreducible, f(0) != 0.
 
@@ -419,14 +545,13 @@ def root_order_in_quotient(f):
     if f.coeffs and f.coeffs[0] == 0:
         raise ZeroPolynomial("t is not a unit modulo f when f(0) = 0")
     key = (F.p, F.a, F.modulus, tuple(f.coeffs))
-    got = _root_order_cache.get(key)
-    if got is not None:
-        return got
+    return _memo(_root_order_cache, key, lambda: _root_order(f))
+
+
+def _root_order(f):
+    F = f.field
     n = F.q ** f.degree - 1
-    from .ppd import factor_qe_minus_one
-    fac = factor_qe_minus_one(F.q, f.degree)[0]
+    fac = ppd.factor_qe_minus_one(F.q, f.degree)[0]
     x = x_poly(F)
-    got = factorization_order_descend(
+    return factorization_order_descend(
         n, fac, lambda m: powmod(x, m, f).is_one())
-    _root_order_cache[key] = got
-    return got

@@ -26,7 +26,7 @@ from . import _kernels, ffield, fmatrix
 from ._intmath import SplitMix64
 from .errors import (ActionTooLarge, BadTwist, CharTooSmallForSymcube,
                      DegreeTooSmall, DimensionMismatch, OddDimensionSymplectic,
-                     Singular, ZeroVector)
+                     Singular, UnknownModuleSpec, ZeroVector)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -261,7 +261,8 @@ def sl2_module(q, spec):
             return _kron2(F, _frob_matrix(m, s), _frob_matrix(m, t))
         dim = 4
     else:
-        raise ValueError("unknown module spec %r" % (spec,))
+        raise UnknownModuleSpec("unknown module spec %r: expected %r, %r or "
+                                "twist(s, t)" % (spec, NATURAL, SYMCUBE))
     grp = MatrixGroup(F, dim, [to_matrix(g) for g in gens2],
                       label="SL2(%d) module %s" % (q, spec))
     return Sl2Module(group=grp, to_matrix=to_matrix, dim=dim, q=q, spec=spec)

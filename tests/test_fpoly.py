@@ -107,14 +107,121 @@ def test_divmod_by_zero():
         divmod(P(F2, 1, 1), P(F2, 0))
 
 
+def _naive_powmod(f, e, mod):
+    """Square-and-multiply on DensePoly products and remainders."""
+    result = fpoly.constant(f.field, 1) % mod
+    base = f % mod
+    while e:
+        if e & 1:
+            result = result * base % mod
+        base = base * base % mod
+        e >>= 1
+    return result
+
+
+# prime, tabled extension, and two extensions above ffield.TABLE_CAP
+POWMOD_FIELDS = [F2, ffield.make_field(3, 2), ffield.make_field(251),
+                 ffield.field_from_q(2 ** 21), ffield.field_from_q(3 ** 13)]
+
+
 def test_powmod_matches_naive():
     rng = SplitMix64(7)
-    for _ in range(30):
-        F = (F2, F3, F4)[rng.randrange(3)]
-        f = _random_poly(F, rng, rng.randrange(3) + 1)
-        mod = _random_poly(F, rng, rng.randrange(3) + 2)
-        e = rng.randrange(40)
-        assert fpoly.powmod(f, e, mod) == (f ** e) % mod
+    for F in POWMOD_FIELDS:
+        for i in range(8):
+            k = 1 + i % 4                     # degree-1 moduli included
+            mod = _random_poly(F, rng, k)
+            if F.q > 2 and i % 2:
+                mod = mod.scale(F.p - 1)      # not monic
+            f = _random_poly(F, rng, rng.randrange(2 * k + 1))
+            if i % 3 == 0:
+                f = fpoly.DensePoly(F, [])
+            for e in (0, 1, 2 + rng.randrange(6), rng.randrange(40),
+                      F.q ** k + rng.randrange(F.q ** k)):
+                got = fpoly.powmod(f, e, mod)
+                assert got == _naive_powmod(f, e, mod), (F, mod, f, e)
+                assert got.degree < mod.degree
+                if e < 8:
+                    assert got == (f ** e) % mod
+
+
+@pytest.mark.parametrize("p,a", [(2, 64), (251, 8)])
+def test_powmod_above_int64(p, a):
+    # q >= 2^62: coefficient encodings are Python ints, digits int64
+    F = ffield.make_field(p, a)
+    rng = SplitMix64(a)
+    mod = _random_poly(F, rng, 2)
+    f = _random_poly(F, rng, 3)
+    for e in (0, 1, 37, (1 << 20) + rng.randrange(1 << 20)):
+        assert fpoly.powmod(f, e, mod) == _naive_powmod(f, e, mod)
+
+
+def test_powmod_modulo_a_unit_or_zero():
+    f = P(F3, 1, 2)
+    assert fpoly.powmod(f, 5, P(F3, 2)).is_zero()
+    with pytest.raises(DivisionByZero):
+        fpoly.powmod(f, 5, P(F3))
+
+
+def test_is_irreducible_builds_one_quotient_ring(monkeypatch):
+    built = []
+
+    class Counting(fpoly.QuotientRing):
+        def __init__(self, f):
+            built.append(tuple(f.coeffs))
+            super().__init__(f)
+
+    monkeypatch.setattr(fpoly, "QuotientRing", Counting)
+    F9 = ffield.make_field(3, 2)
+    rng = SplitMix64(11)
+    for F, n in ((F2, 8), (F3, 6), (F4, 5), (F9, 4), (F2, 12)):
+        for _ in range(3):
+            monkeypatch.setattr(fpoly, "_last_ring", [None])
+            f = _random_poly(F, rng, n).monic()
+            built.clear()
+            fpoly.is_irreducible(f)
+            assert built == [tuple(f.coeffs)]
+
+
+def _brute_root_order(F, f):
+    """Order of t modulo monic f, multiplying by t in tests/oracles
+    arithmetic until the power is 1 again."""
+    mod = list(F.modulus) if F.modulus else None
+    k = f.degree
+    one = [1] + [0] * (k - 1)
+    cur = list(one)
+    for n in range(1, F.q ** k):
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        minus_top = oracles.gf_mul(F.p - 1, top, F.p, mod)
+        cur = [oracles.gf_add(c, oracles.gf_mul(minus_top, fc, F.p, mod),
+                              F.p, F.a)
+               for c, fc in zip(cur, f.coeffs)]
+        if cur == one:
+            return n
+    raise AssertionError("t is not a unit modulo %r" % (f,))
+
+
+def _irreducible_count(q, k):
+    """Monic irreducibles of degree k over GF(q): (1/k) sum mu(d) q^(k/d)."""
+    mu = {1: 1, 2: -1, 3: -1, 4: 0}
+    return sum(mu[d] * q ** (k // d) for d in range(1, k + 1)
+               if k % d == 0) // k
+
+
+def test_root_order_matches_brute_force():
+    F9 = ffield.make_field(3, 2)
+    for F, maxdeg in ((F2, 4), (F3, 4), (F4, 4), (F9, 2)):
+        for k in range(1, maxdeg + 1):
+            irreducible = [
+                f for f in (fpoly.DensePoly(F, list(tail) + [1])
+                            for tail in itertools.product(range(F.q), repeat=k))
+                if fpoly.is_irreducible(f)]
+            assert len(irreducible) == _irreducible_count(F.q, k)
+            for f in irreducible:
+                if f.coeffs[0] == 0:         # f = t
+                    continue
+                assert fpoly.root_order_in_quotient(f) == \
+                    _brute_root_order(F, f), f
 
 
 def test_from_roots_and_roots_round_trip():

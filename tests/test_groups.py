@@ -4,7 +4,8 @@ from stingray import _kernels, classify, ffield, fmatrix, fpoly, groups
 from stingray._intmath import SplitMix64
 from stingray.errors import (ActionTooLarge, BadTwist,
                              CharTooSmallForSymcube, DimensionMismatch,
-                             OddDimensionSymplectic, Singular)
+                             OddDimensionSymplectic, Singular,
+                             StingrayUsageError, UnknownModuleSpec)
 
 import oracles
 
@@ -94,6 +95,12 @@ def test_symcube_rejects_small_characteristic():
     for q in (2, 3, 4, 8, 9):
         with pytest.raises(CharTooSmallForSymcube):
             groups.sl2_module(q, groups.SYMCUBE)
+
+
+def test_unknown_module_spec_is_typed():
+    with pytest.raises(UnknownModuleSpec, match="'bogus'") as err:
+        groups.sl2_module(5, "bogus")
+    assert isinstance(err.value, StingrayUsageError)
 
 
 def test_twist_is_homomorphism():
