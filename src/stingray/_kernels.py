@@ -4,8 +4,8 @@ Matrices are int64 numpy arrays of integer-encoded field elements
 (encoding sum c_i p^i).  Each kernel -- matrix multiply, reduced row
 echelon form, characteristic polynomial -- has one body and takes the
 FieldSpec itself as the description of the field.  The field cases live
-only in the elementwise primitives add, sub and mul, which broadcast
-their operands and make no copies of them:
+only in the elementwise primitives add, sub and mul and in the sum dot,
+which broadcast their operands and make no copies of them:
 
   add, sub   prime field: arithmetic mod p on the encodings
              p = 2 extension: xor
@@ -18,6 +18,11 @@ their operands and make no copies of them:
              digits of x and y, GF(p^a) being GF(p)[t]/(modulus);
              encodings are int64 while q < 2^62 and Python ints from there
              on, digits always int64
+  dot        A @ x for a vector x, the field sum over the last axis of A * x
+             prime field: one _dot_mod
+             p = 2 extension: xor-reduce of the products
+             odd extension: digit i of the sum is the sum of the digits i
+             of the products, mod p
 
 ring_mul is the one product of a quotient ring GF(p^a)[t]/(f), deg f = k,
 on base-p digit vectors: digit s of coefficient i at index a*i + s, then a
@@ -28,10 +33,15 @@ a table whose row (2a-1)*I + S holds the digits of alpha^S t^I mod f
 above (a = 1, f the field's modulus; FieldSpec._shift/_red) and
 fpoly.powmod (fpoly.QuotientRing).
 
-_dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul
-and ring_mul both sum through it.  Negation is sub(F, 0, x).  The
-characteristic polynomial works on Python ints with the FieldSpec scalar
-methods.
+_dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul,
+the prime-field dot and ring_mul all sum through it.  Negation is
+sub(F, 0, x).
+
+charpoly reduces the matrix to upper Hessenberg form on the array, one
+column per step: a row update through sub and mul and a column update
+through dot.  Only the recurrence over the leading blocks of the
+Hessenberg matrix, O(d^2) scalars per block, runs on Python ints with the
+FieldSpec scalar methods.
 """
 
 from functools import lru_cache
@@ -79,6 +89,22 @@ def _dot_mod(A, B, p):
     for s in range(step, A.shape[-1], step):
         C = (C + A[..., s:s + step] @ B[..., s:s + step, :]) % p
     return C
+
+
+def dot(F, A, x):
+    """Field sum over the last axis of A * x: the vector A @ x."""
+    if F.a == 1:
+        return _dot_mod(A, x[:, None], F.p)[..., 0]
+    y = mul(F, A, x)
+    if F.p == 2:
+        return np.bitwise_xor.reduce(y, axis=-1)
+    # digit i of the sum is the sum of the digits i mod p
+    s = 0
+    m = 1
+    for _ in range(F.a):
+        s = s + (y // m % F.p).sum(axis=-1) % F.p * m
+        m *= F.p
+    return s
 
 
 @lru_cache(maxsize=16)
@@ -172,50 +198,63 @@ def rref(F, M, limit=None):
 def charpoly(F, M):
     """Ascending coefficients (d+1 ints) of det(tI - M).
 
-    Similarity reduction to upper Hessenberg form, then the recurrence for
-    the characteristic polynomials of its leading principal blocks.
+    Similarity reduction to upper Hessenberg form on the array (Cohen, GTM
+    138, the Hessenberg algorithm), one column j per step.  The first
+    nonzero of column j at or below the subdiagonal is swapped into row and
+    column j+1; then each row i > j+1 loses f_i times row j+1, with
+    f_i = H[i, j] / H[j+1, j], and column j+1 gains the sum of f_i times
+    column i.  The d-j-2 similarities by I - f_i e_i e_{j+1}^T commute, so
+    one row update and one dot apply them all and give the H of applying
+    them one by one.  Row j+1 is zero left of column j, and column j below
+    the subdiagonal, which the update would clear, is never read again, so
+    the row update starts at column j+1.  Then the recurrence for the
+    characteristic polynomials of the leading principal blocks of the
+    Hessenberg part of H, on Python ints.
     """
     d = M.shape[0]
-    H = [[int(x) for x in row] for row in M]
+    H = np.array(M, dtype=np.int64)
+    g = np.empty(d, dtype=np.int64)
     for j in range(d - 2):
-        pr = -1
-        for i in range(j + 1, d):
-            if H[i][j] != 0:
-                pr = i
-                break
-        if pr == -1:
+        nz = H[j + 1:, j].nonzero()[0]
+        if nz.size == 0:
             continue
+        pr = j + 1 + int(nz[0])
         if pr != j + 1:
-            H[j + 1], H[pr] = H[pr], H[j + 1]
-            for t in range(d):
-                H[t][j + 1], H[t][pr] = H[t][pr], H[t][j + 1]
-        inv = F.inv_enc(H[j + 1][j])
-        for i in range(j + 2, d):
-            if H[i][j] != 0:
-                f = F.mul_enc(H[i][j], inv)
-                for t in range(d):
-                    H[i][t] = F.sub_enc(H[i][t], F.mul_enc(f, H[j + 1][t]))
-                for t in range(d):
-                    H[t][j + 1] = F.add_enc(H[t][j + 1], F.mul_enc(f, H[t][i]))
+            row = H[j + 1].copy()
+            H[j + 1] = H[pr]
+            H[pr] = row
+            col = H[:, j + 1].copy()
+            H[:, j + 1] = H[:, pr]
+            H[:, pr] = col
+        if nz.size == 1:
+            continue
+        # g[j+1:] = (1, f_{j+2}, ..., f_{d-1})
+        g[j + 1] = 1
+        g[j + 2:] = H[j + 2:, j]
+        piv = int(H[j + 1, j])
+        if piv != 1:
+            g[j + 2:] = mul(F, g[j + 2:], F.inv_enc(piv))
+        H[j + 2:, j + 1:] = sub(F, H[j + 2:, j + 1:],
+                                mul(F, g[j + 2:, None], H[j + 1, j + 1:]))
+        H[:, j + 1] = dot(F, H[:, j + 1:], g[j + 1:])
+    H = H.tolist()
+    mul_enc, sub_enc = F.mul_enc, F.sub_enc
     polys = [[1]]
     for k in range(1, d + 1):
-        hkk = H[k - 1][k - 1]
-        cur = [0] * (k + 1)
         prev = polys[k - 1]
+        hkk = H[k - 1][k - 1]
+        cur = [0] + prev
         for c in range(k):
-            cur[c + 1] = prev[c]
-        for c in range(k):
-            cur[c] = F.sub_enc(cur[c], F.mul_enc(hkk, prev[c]))
+            cur[c] = sub_enc(cur[c], mul_enc(hkk, prev[c]))
         beta = 1
         for i in range(1, k):
-            beta = F.mul_enc(beta, H[k - i][k - i - 1])
+            beta = mul_enc(beta, H[k - i][k - i - 1])
             if beta == 0:
                 break
-            coeff = F.mul_enc(H[k - 1 - i][k - 1], beta)
-            if coeff == 0:
-                continue
-            pki = polys[k - 1 - i]
-            for c in range(k - i):
-                cur[c] = F.sub_enc(cur[c], F.mul_enc(coeff, pki[c]))
+            coeff = mul_enc(H[k - 1 - i][k - 1], beta)
+            if coeff:
+                pki = polys[k - 1 - i]
+                for c in range(k - i):
+                    cur[c] = sub_enc(cur[c], mul_enc(coeff, pki[c]))
         polys.append(cur)
     return polys[d]

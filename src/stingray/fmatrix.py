@@ -320,16 +320,17 @@ class Subspace:
 def kernel(g):
     """Left null space {v : v g = 0} as a Subspace."""
     F = g.field
-    R, piv, rank = _kernels.rref(F, np.ascontiguousarray(g.arr.T))
+    R, piv, rank = _kernels.rref(F, g.arr.T)
     n = g.nrows
-    free = [j for j in range(n) if j not in set(piv)]
-    rows = []
-    for fc in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = F.neg_enc(int(R[r, fc]))
-        rows.append(v)
+    if rank == n:
+        return Subspace.from_rows(F, [], ambient_dim=n)
+    # S holds row r of R at row piv[r]; for each free column fc, column fc
+    # of I - S is 1 at fc and -R[r, fc] at piv[r], a vector of the kernel
+    S = np.zeros((n, n), dtype=np.int64)
+    S[piv] = R[:rank]
+    pivots = set(piv)
+    free = [j for j in range(n) if j not in pivots]
+    rows = _kernels.sub(F, np.eye(n, dtype=np.int64), S).T.take(free, axis=0)
     return Subspace.from_rows(F, rows, ambient_dim=n)
 
 

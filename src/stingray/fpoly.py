@@ -18,7 +18,8 @@ root-order descent, the distinct- and equal-degree steps).  Modulo t - c
 the ring is GF(q) itself and a power is FieldSpec.pow_enc of f(c).
 The order of t modulo an irreducible f (Celler-Leedham-Green, 1997) is
 read off the factored q^k - 1 with such powers.  factor_cached and
-root_order_in_quotient memoize in LRU caches of CACHE_CAP entries each.
+root_order_in_quotient memoize in LRU caches of _intmath.CACHE_CAP
+entries each.
 """
 
 from collections import OrderedDict
@@ -26,7 +27,8 @@ from collections import OrderedDict
 import numpy as np
 
 from . import _kernels, ppd
-from ._intmath import SplitMix64, factorize, factorization_order_descend
+from ._intmath import (SplitMix64, _memo, factorize,
+                       factorization_order_descend)
 from .errors import (CharacteristicDividesR, DivisionByZero, FieldMismatch,
                      ZeroPolynomial)
 
@@ -482,28 +484,8 @@ def factor(f):
     return Factorization(unit, pieces)
 
 
-# Entries of each memo below: a sweep no longer grows them without limit,
-# and classify-small's traced job (600 lookups, its repeats nearly all
-# among the few characteristic polynomials of GL(4,2)) never evicts, so
-# its hit ratio is that of an unbounded memo.  Over 18000 classify-small
-# items the factor memo misses 5909 times against 5698 unbounded.
-CACHE_CAP = 1 << 12
-
 _factor_cache = OrderedDict()
 _root_order_cache = OrderedDict()
-
-
-def _memo(cache, key, compute):
-    """cache[key], computed on a miss; the least recently used entry goes
-    when the cache outgrows CACHE_CAP."""
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = compute()
-        if len(cache) > CACHE_CAP:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return got
 
 
 def factor_cached(f):

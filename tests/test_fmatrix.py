@@ -262,9 +262,13 @@ def test_char_poly_matches_sympy_charpoly(p):
     sympy = pytest.importorskip("sympy")
     F = ffield.make_field(p)
     rng = SplitMix64(0xC4A2 + p)
-    for _ in range(20):
-        g = _random_matrix(F, rng, 1 + rng.randrange(6))
+
+    def check(g):
         rows = [[int(x) for x in row] for row in g.arr]
         want = [int(c) % p for c in reversed(
             sympy.Matrix(rows).charpoly(sympy.Symbol("t")).all_coeffs())]
         assert fmatrix.char_poly(g).coeffs == want
+
+    for _ in range(20):
+        check(_random_matrix(F, rng, 1 + rng.randrange(6)))
+    check(_random_matrix(F, rng, 16))

@@ -1,5 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
+from stingray import _intmath
 from stingray._intmath import (SplitMix64, factorize, iroot, is_prime,
                                is_prime_power, is_probable_prime)
 
@@ -106,3 +109,17 @@ def test_randint_choice_shuffle():
     shuffled = list(seq)
     rng.shuffle(shuffled)
     assert sorted(shuffled) == seq
+
+
+def test_memo_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(_intmath, "CACHE_CAP", 2)
+    cache = OrderedDict()
+    calls = []
+
+    def get(key):
+        return _intmath._memo(cache, key, lambda: calls.append(key) or -key)
+
+    assert [get(1), get(2), get(1), get(3)] == [-1, -2, -1, -3]
+    # the hit on 1 made 2 the least recently used entry
+    assert list(cache) == [1, 3]
+    assert calls == [1, 2, 3]

@@ -5,10 +5,10 @@ exp/log table cap, which multiply base-p digit arrays."""
 import numpy as np
 import pytest
 
-from stingray import _kernels, ffield, fpoly
+from stingray import _kernels, ffield, fmatrix, fpoly
 from stingray._intmath import SplitMix64
-from stingray.fmatrix import (DenseMatrix, _poly_at, char_poly, companion,
-                              identity, zeros)
+from stingray.fmatrix import (DenseMatrix, _poly_at, block_diagonal,
+                              char_poly, companion, identity, zeros)
 
 import oracles
 
@@ -29,6 +29,17 @@ def field(request):
 def _random(F, rng, rows, cols):
     return DenseMatrix(F, [[rng.randrange(F.q) for _ in range(cols)]
                            for _ in range(rows)])
+
+
+def _random_invertible(F, rng, d):
+    A = _random(F, rng, d, d)
+    while not A.is_invertible():
+        A = _random(F, rng, d, d)
+    return A
+
+
+def _random_monic(F, rng, k):
+    return fpoly.DensePoly(F, [rng.randrange(F.q) for _ in range(k)] + [1])
 
 
 def _oracle_ops(F):
@@ -81,6 +92,24 @@ def test_elementwise_ops_match_oracle(field):
             mul(x, y) for x, y in pairs]
     assert flat(A.scale(c).arr) == [mul(c, x) for x in flat(A.arr)]
     assert A.scale(0) == Z
+
+
+def test_dot_matches_oracle(field):
+    # at p = 2147483629 the prime-field sum runs one product per chunk
+    F = field
+    add, mul = _oracle_ops(F)
+    rng = SplitMix64(28)
+    for k in (0, 1, 7):
+        A = np.array([[rng.randrange(F.q) for _ in range(k)]
+                      for _ in range(3)], dtype=np.int64).reshape(3, k)
+        x = np.array([rng.randrange(F.q) for _ in range(k)], dtype=np.int64)
+        want = []
+        for row in A.tolist():
+            s = 0
+            for a, b in zip(row, x.tolist()):
+                s = add(s, mul(a, b))
+            want.append(s)
+        assert _kernels.dot(F, A, x).tolist() == want
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25])
@@ -150,11 +179,22 @@ def test_inverse(field):
     F = field
     rng = SplitMix64(22)
     for d in (1, 3, 5):
-        A = _random(F, rng, d, d)
-        while not A.is_invertible():
-            A = _random(F, rng, d, d)
+        A = _random_invertible(F, rng, d)
         assert A * A.inverse() == identity(F, d)
         assert A.inverse() * A == identity(F, d)
+
+
+def test_kernel_is_left_null_space(field):
+    F = field
+    rng = SplitMix64(29)
+    for n, m, r in ((3, 3, 0), (4, 3, 2), (3, 5, 3), (5, 4, 1), (2, 2, 2)):
+        g = _random(F, rng, n, r) * _random(F, rng, r, m) if r else \
+            zeros(F, n, m)
+        K = fmatrix.kernel(g)
+        assert K.dim == n - g.rank()
+        assert not (DenseMatrix(F, K.basis) * g).arr.any()
+        assert fmatrix.Subspace.from_rows(F, K.basis, n).basis.tolist() == \
+            K.basis.tolist()
 
 
 def test_char_poly_of_companion(field):
@@ -165,10 +205,57 @@ def test_char_poly_of_companion(field):
         assert char_poly(companion(f)) == f
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 32])
+def test_char_poly_of_conjugated_blocks(field, d):
+    # P blockdiag(companion(f1), companion(f2), I_k) P^-1 is dense and has
+    # characteristic polynomial f1 f2 (t - 1)^k
+    F = field
+    rng = SplitMix64(26 + d)
+    k = d // 4
+    n1 = (d - k + 1) // 2
+    fs = [_random_monic(F, rng, n) for n in (n1, d - k - n1) if n]
+    want = fpoly.DensePoly(F, [F.neg_enc(1), 1]) ** k
+    for f in fs:
+        want = want * f
+    B = block_diagonal([companion(f) for f in fs] + [identity(F, k)])
+    P = _random_invertible(F, rng, d)
+    assert char_poly(P * B * P.inverse()) == want
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_char_poly_of_permuted_triangular(field, d):
+    # Q T Q^-1, T sparse upper triangular and Q a permutation, has
+    # characteristic polynomial prod (t - T_ii).  With Q fixing 0, column 0
+    # is zero below the diagonal and the reduction skips it; with Q sending
+    # 0 to d-1, its subdiagonal entry is 0 and the next one is not, so the
+    # reduction swaps.  Later columns meet both cases at random.
+    F = field
+    rng = SplitMix64(27 + d)
+    for first in (0, d - 1):
+        T = np.triu(np.array(
+            [[rng.randrange(F.q) if rng.randrange(3) == 0 else 0
+              for _ in range(d)] for _ in range(d)], dtype=np.int64))
+        np.fill_diagonal(T, [rng.randrange(F.q) for _ in range(d)])
+        perm = [i for i in range(d) if i != first]
+        rng.shuffle(perm)
+        perm = [first] + perm
+        T[perm[1], d - 1] = 0
+        T[perm[2], d - 1] = 1
+        M = T[np.ix_(perm, perm)]
+        if first == 0:
+            assert not M[1:, 0].any()
+        else:
+            assert M[1, 0] == 0 and M[2, 0] == 1
+        want = fpoly.DensePoly(F, [1])
+        for c in np.diag(T).tolist():
+            want = want * fpoly.DensePoly(F, [F.neg_enc(c), 1])
+        assert char_poly(DenseMatrix(F, M)) == want
+
+
 def test_cayley_hamilton(field):
     F = field
     rng = SplitMix64(24)
-    for d in (1, 2, 4):
+    for d in (1, 2, 4, 16):
         g = _random(F, rng, d, d)
         assert _poly_at(char_poly(g), g) == zeros(F, d)
 

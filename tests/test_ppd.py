@@ -1,6 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
-from stingray import ppd
+from stingray import _intmath, ppd
 from stingray.errors import (CompositeQ, NotCoprime, NotPrime,
                              StingrayUsageError, TooLarge)
 
@@ -125,3 +127,19 @@ def test_matches_sympy_factorint():
             got = ppd.primitive_prime_divisors(q, e)
             assert got.primes == want, (q, e)
             assert got.certified, (q, e)
+
+
+def test_phi_cache_is_bounded(monkeypatch):
+    # with the cap at 3 the cache never holds more, and pairs it evicted
+    # come back with the same answers
+    pairs = [(q, e) for q in (2, 3, 4, 5) for e in range(1, 13)]
+    want = {qe: (ppd.primitive_prime_divisors(*qe),
+                 ppd.factor_qe_minus_one(*qe)) for qe in pairs}
+    monkeypatch.setattr(_intmath, "CACHE_CAP", 3)
+    monkeypatch.setattr(ppd, "_phi_cache", OrderedDict())
+    for _ in range(2):
+        for qe in pairs:
+            assert (ppd.primitive_prime_divisors(*qe),
+                    ppd.factor_qe_minus_one(*qe)) == want[qe]
+            assert len(ppd._phi_cache) <= 3
+    assert len(ppd._phi_cache) == 3
