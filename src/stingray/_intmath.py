@@ -292,16 +292,38 @@ def factorize(n):
     return factors, certified
 
 
-def factorization_order_descend(n, factors, power):
-    """Least m dividing n with power(m) trivial, given n's factored form.
+def factorization_order_descend(x, factors, power, is_one):
+    """Multiplicative order of x, given {p: e} with x^n = 1, n = prod p^e.
 
-    `power(m)` must return True iff x^m is the identity for the element x
-    whose order is being computed; n must be a valid exponent (power(n)
-    True).  Standard descent: strip each prime while the power stays
-    trivial.
+    `power(y, m)` returns y^m for m >= 1 and `is_one(y)` tests for the
+    identity; the caller's group is otherwise opaque.  Product-tree descent
+    (Sutherland, Order computations in generic groups, MIT thesis, 2007,
+    ch. 7): split the primes into halves L and R; y^(prod_R p^e) has order
+    dividing prod_L p^e and y^(prod_L p^e) order dividing prod_R p^e, so
+    each half recurses on its own power.  At a leaf p^e, y is raised by p
+    at most e - 1 times, since y^(p^e) = 1 is already known.  The
+    exponents of one tree level divide n, so for w primes the squarings
+    number about (ceil(log2 w) + 1) log2 n, where stripping one prime at a
+    time with powers of full size takes about w log2 n.
     """
-    order = n
-    for p in factors:
-        while order % p == 0 and power(order // p):
-            order //= p
-    return order
+    return _descend(x, list(factors.items()), power, is_one)
+
+
+def _descend(y, pes, power, is_one):
+    if is_one(y):
+        return 1
+    if len(pes) == 1:
+        p, e = pes[0]
+        order = p
+        for _ in range(e - 1):
+            y = power(y, p)
+            if is_one(y):
+                break
+            order *= p
+        return order
+    half = len(pes) // 2
+    left, right = pes[:half], pes[half:]
+    n_left = math.prod(p ** e for p, e in left)
+    n_right = math.prod(p ** e for p, e in right)
+    return (_descend(power(y, n_right), left, power, is_one)
+            * _descend(power(y, n_left), right, power, is_one))

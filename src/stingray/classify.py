@@ -153,30 +153,33 @@ def classify_element(g, e):
 def is_stingray_oracle(g, e):
     """Decomposition-based stingray test, independent of classify_element.
 
-    Checks dim ker(g-1) = d-e, dim im(g-1) = e, trivial intersection, and
-    irreducibility of the action restricted to the image.  The image is
-    invariant because g commutes with g-1 (restrict raises NotInvariant if
-    it were not).  Irreducibility is Rabin's test on the characteristic
-    polynomial of the e x e restriction: it is irreducible exactly when the
-    minimal polynomial is irreducible of degree e.  Neither min_poly nor
-    fpoly.factor is called, so the oracle shares no factorization with
+    Checks dim ker(g-1) = d-e, trivial intersection of the kernel with
+    im(g-1), and irreducibility of the action restricted to the image.  By
+    rank-nullity dim im(g-1) = e exactly when dim ker(g-1) = d-e, so the
+    image is built only then, which most elements never reach.  The image
+    is invariant because g commutes with g-1 (restrict raises NotInvariant
+    if it were not).  Irreducibility is Rabin's test on the characteristic
+    polynomial of the e x e restriction: it is irreducible exactly when
+    the minimal polynomial is irreducible of degree e.  Neither min_poly
+    nor fpoly.factor is called, so the oracle shares no factorization with
     classify_element.
 
     Singular g raises Singular.  When the checks pass, V is the direct sum
     of ker(g-1), where g = 1, and the invariant im(g-1), so det g is the
     determinant of the restriction, read off its characteristic polynomial;
-    otherwise the rank of g decides.
+    otherwise, or when that determinant is 0, the rank of g decides.
     """
     d = g.nrows
     F = g.field
     gm1 = g - fmatrix.identity(F, d)
     fix = fmatrix.kernel(gm1)
-    w = fmatrix.image(gm1)
-    if fix.dim == d - e and w.dim == e and fix.intersect(w).dim == 0:
-        cp = fmatrix.char_poly(fmatrix.restrict(g, w))
-        if cp.coeffs[0] != 0:
-            return fpoly.is_irreducible(cp)
-    elif g.rank() == d:
+    if fix.dim == d - e:
+        w = fmatrix.image(gm1)
+        if fix.intersect(w).dim == 0:
+            cp = fmatrix.char_poly(fmatrix.restrict(g, w))
+            if cp.coeffs[0] != 0:
+                return fpoly.is_irreducible(cp)
+    if g.rank() == d:
         return False
     raise Singular("matrix is singular")
 

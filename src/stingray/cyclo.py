@@ -128,22 +128,6 @@ class CyclotomicInt:
         return "CyclotomicInt(r=%d, %s)" % (self.r, list(self.coeffs))
 
 
-def add(x, y):
-    return x + y
-
-
-def sub(x, y):
-    return x - y
-
-
-def scalar_mul(n, x):
-    return x * n
-
-
-def galois(x, k):
-    return x.galois(k)
-
-
 def sum_of_zeta_powers(r, exponents):
     co = [0] * r
     for e in exponents:
@@ -168,9 +152,6 @@ class MultiplicitySolution:
     r: int
     d: int
     mults: tuple
-
-    def brauer_value(self):
-        return from_multiplicities(self.r, self.mults)
 
     def fixed_dim(self):
         return self.mults[0]

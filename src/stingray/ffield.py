@@ -182,7 +182,7 @@ class FieldSpec:
         if x == 0:
             raise DivisionByZero("0 has no multiplicative order")
         return factorization_order_descend(
-            self.q - 1, self.q1_factors(), lambda m: self.pow_enc(x, m) == 1)
+            x, self.q1_factors(), self.pow_enc, lambda y: y == 1)
 
     def generator_enc(self):
         """Smallest-encoding generator of the multiplicative group."""
@@ -375,10 +375,6 @@ def mul(x, y):
 
 def inv(x):
     return x.inverse()
-
-
-def powe(x, n):
-    return x ** n
 
 
 def frobenius(x, k=1):

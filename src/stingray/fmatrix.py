@@ -410,13 +410,6 @@ def min_poly(g):
         g.field)
 
 
-def order_from_min_poly(mp):
-    """Multiplicative order of any matrix with minimal polynomial mp."""
-    if not mp.coeffs or mp.coeffs[0] == 0:
-        raise Singular("matrix is singular")
-    return _order_from_factors(mp.field, fpoly.factor_cached(mp).factors)
-
-
 def _order_from_factors(F, mp_factors):
     """Order from the (irreducible, multiplicity) pairs of a minimal
     polynomial with nonzero constant term.

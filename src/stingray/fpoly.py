@@ -16,8 +16,11 @@ The ring's tables are built with array operations and kept in a single
 slot while consecutive calls share a modulus (the Rabin chain, the
 root-order descent, the distinct- and equal-degree steps).  Modulo t - c
 the ring is GF(q) itself and a power is FieldSpec.pow_enc of f(c).
-The order of t modulo an irreducible f (Celler-Leedham-Green, 1997) is
-read off the factored q^k - 1 with such powers.  factor_cached and
+The order of t modulo an irreducible f of degree k (Celler-Leedham-Green,
+1997) is the product-tree descent _intmath.factorization_order_descend
+over the factored q^k - 1, run on the ring's digit vectors with
+QuotientRing.pow and compared with the digits of 1; for k = 1 it is
+FieldSpec.order_enc of the root.  factor_cached and
 root_order_in_quotient memoize in LRU caches of _intmath.CACHE_CAP
 entries each.
 """
@@ -162,11 +165,6 @@ class DensePoly:
         for c in reversed(self.coeffs):
             acc = F.add_enc(F.mul_enc(acc, x), c)
         return acc
-
-    def evaluate(self, x):
-        if x.field != self.field:
-            raise FieldMismatch("evaluation point in a different field")
-        return self.field.element(self.eval_enc(x.enc))
 
     def map_field(self, target, send):
         """Apply the coefficient map send: enc -> enc into target."""
@@ -532,8 +530,11 @@ def root_order_in_quotient(f):
 
 def _root_order(f):
     F = f.field
-    n = F.q ** f.degree - 1
+    f = f.monic()
+    if f.degree == 1:
+        return F.order_enc(F.neg_enc(f.coeffs[0]))
     fac = ppd.factor_qe_minus_one(F.q, f.degree)[0]
-    x = x_poly(F)
+    R = _ring(f)
+    one = R.digits(constant(F, 1))
     return factorization_order_descend(
-        n, fac, lambda m: powmod(x, m, f).is_one())
+        R.digits(x_poly(F)), fac, R.pow, lambda y: np.array_equal(y, one))

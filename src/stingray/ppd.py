@@ -93,7 +93,8 @@ def multiplicative_order(r, q):
     if q % r == 0:
         raise NotCoprime("%d divides %d" % (r, q))
     return factorization_order_descend(
-        r - 1, factorize(r - 1)[0], lambda m: pow(q, m, r) == 1)
+        q % r, factorize(r - 1)[0], lambda y, m: pow(y, m, r),
+        lambda y: y == 1)
 
 
 def is_eppd_prime(r, q, e):
@@ -122,13 +123,6 @@ class PpdResult:
     @property
     def is_empty(self):
         return not self.primes
-
-    @property
-    def ppd_part(self):
-        out = 1
-        for r, m in self.primes:
-            out *= r ** m
-        return out
 
     def prime_list(self):
         return [r for r, _ in self.primes]

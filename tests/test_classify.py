@@ -107,6 +107,33 @@ def test_oracle_does_not_factor(monkeypatch):
         assert classify.is_stingray_oracle(img, e) is want
 
 
+def test_oracle_builds_the_image_only_at_kernel_dimension_d_minus_e(
+        monkeypatch):
+    # dim im(g-1) = e exactly when dim ker(g-1) = d-e (rank-nullity), so
+    # an element whose fixed space has another dimension is rejected
+    # without a row reduction for the image
+    calls = []
+    image = fmatrix.image
+    monkeypatch.setattr(fmatrix, "image",
+                        lambda g: calls.append(g) or image(g))
+    rng = SplitMix64(41)
+    rejected = 0
+    for F, d in ((F2, 4), (F2, 6), (F3, 4), (ffield.make_field(2, 2), 4)):
+        for _ in range(10):
+            g = fmatrix.DenseMatrix(F, [[rng.randrange(F.q) for _ in range(d)]
+                                        for _ in range(d)])
+            if not g.is_invertible() or \
+                    fmatrix.fixed_space(g).dim == d - d // 2:
+                continue
+            assert not classify.is_stingray_oracle(g, d // 2)
+            rejected += 1
+    assert rejected >= 20
+    assert calls == []
+    g = fmatrix.block_diagonal([_phi5_companion(), fmatrix.identity(F2, 4)])
+    assert classify.is_stingray_oracle(g, 4)
+    assert len(calls) == 1
+
+
 def test_oracle_rejects_singular(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not factor polynomials")

@@ -86,6 +86,27 @@ def test_element_order_divides_group_order():
                     assert F.pow_enc(enc, n // r) != 1
 
 
+def _naive_order(F, enc):
+    """Order of enc by repeated tests/oracles products up to 1."""
+    mod = list(F.modulus) if F.modulus else None
+    x, n = enc, 1
+    while x != 1:
+        x = oracles.gf_mul(x, enc, F.p, mod)
+        n += 1
+    return n
+
+
+def test_order_enc_matches_naive_loop_up_to_64():
+    for q in range(2, 65):
+        pp = oracles.trial_factor(q)
+        if len(pp) != 1:
+            continue
+        (p, a), = pp.items()
+        F = ffield.make_field(p, a)
+        for enc in range(1, q):
+            assert F.order_enc(enc) == _naive_order(F, enc), (q, enc)
+
+
 def test_generator_is_primitive():
     for F in FIELDS:
         assert F.order_enc(F.generator_enc()) == F.q - 1

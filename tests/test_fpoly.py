@@ -224,6 +224,38 @@ def test_root_order_matches_brute_force():
                     _brute_root_order(F, f), f
 
 
+def test_root_order_with_many_repeated_primes():
+    # 251^2 - 1 = 2^3 3^2 5^3 7 and 9^3 - 1 = 2^3 7 13: the descent splits
+    # four and three primes, and its leaves strip repeated ones.  Over
+    # GF(251), f is the minimal polynomial t^2 - (b + b^251) t + b^252 of
+    # an element b of GF(251^2) of each chosen order m (m not dividing 250,
+    # so f is irreducible); the brute force takes m steps.
+    F = ffield.make_field(251)
+    K = ffield.make_field(251, 2)
+    gen = K.generator_enc()
+    for m in (2 ** 3 * 3 ** 2 * 7, 3 ** 2 * 5 ** 3, 2 ** 3 * 5 ** 3 * 7,
+              2 ** 2 * 3 * 5 ** 2 * 7, 2 * 3 ** 2 * 5 * 7, 2 ** 3 * 3,
+              3 * 5, 7, 63, 125 * 3, 2 ** 3 * 3 ** 2 * 5 ** 3):
+        b = K.pow_enc(gen, (K.q - 1) // m)
+        trace = K.add_enc(b, K.pow_enc(b, 251))
+        norm = K.pow_enc(b, 252)
+        assert trace < 251 and norm < 251
+        f = fpoly.DensePoly(F, [norm, F.neg_enc(trace), 1])
+        assert fpoly.is_irreducible(f)
+        assert fpoly.root_order_in_quotient(f) == m
+        assert _brute_root_order(F, f) == m
+    F9 = ffield.make_field(3, 2)
+    rng = SplitMix64(23)
+    orders = []
+    while len(orders) < 24:
+        f = fpoly.DensePoly(F9, [rng.randrange(8) + 1, rng.randrange(9),
+                                 rng.randrange(9), 1])
+        if fpoly.is_irreducible(f):
+            orders.append(fpoly.root_order_in_quotient(f))
+            assert orders[-1] == _brute_root_order(F9, f), f
+    assert len(set(orders)) >= 8
+
+
 def test_from_roots_and_roots_round_trip():
     f = fpoly.from_roots(F5, [1, 2, 2, 4])
     assert sorted(fpoly.roots(f)) == [1, 2, 4]

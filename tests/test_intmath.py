@@ -1,10 +1,12 @@
+import math
 from collections import OrderedDict
 
 import pytest
 
 from stingray import _intmath
-from stingray._intmath import (SplitMix64, factorize, iroot, is_prime,
-                               is_prime_power, is_probable_prime)
+from stingray._intmath import (SplitMix64, factorization_order_descend,
+                               factorize, iroot, is_prime, is_prime_power,
+                               is_probable_prime)
 
 import oracles
 
@@ -123,3 +125,29 @@ def test_memo_evicts_least_recently_used(monkeypatch):
     # the hit on 1 made 2 the least recently used entry
     assert list(cache) == [1, 3]
     assert calls == [1, 2, 3]
+
+
+@pytest.mark.parametrize("fac", [{2: 3, 3: 2, 5: 3, 7: 1}, {2: 3, 7: 1, 13: 1},
+                                 {2: 10}, {3: 1},
+                                 {2: 2, 3: 1, 5: 1, 7: 1, 11: 1, 13: 2}])
+def test_order_descend_in_the_additive_group(fac):
+    # x in Z/n has order n / gcd(x, n).  The exponents of one level of the
+    # product tree divide n, and the leaves' exponents too, so with w
+    # primes the powers' exponent bits sum to at most
+    # (ceil(log2 w) + 1) log2 n; one power of size n/p per prime would
+    # already exceed that for w >= 4.
+    n = math.prod(p ** e for p, e in fac.items())
+    bound = (math.ceil(math.log2(len(fac))) + 1) * math.log2(n)
+    rng = SplitMix64(n)
+    xs = [0, 1, n - 1] + [n // p for p in fac] + [rng.randrange(n)
+                                                  for _ in range(200)]
+    for x in xs:
+        bits = []
+
+        def power(y, m):
+            bits.append(math.log2(m))
+            return y * m % n
+
+        got = factorization_order_descend(x, fac, power, lambda y: y == 0)
+        assert got == n // math.gcd(x, n), x
+        assert sum(bits) <= bound + 1e-9, (x, sum(bits), bound)

@@ -69,6 +69,13 @@ def test_multiplicative_order():
                     oracles.mult_order(q, r)
 
 
+def test_multiplicative_order_matches_naive_loop_below_500():
+    for r in oracles.sieve(499):
+        for q in range(1, r):
+            assert ppd.multiplicative_order(r, q) == \
+                oracles.mult_order(q, r), (r, q)
+
+
 def test_multiplicative_order_errors():
     with pytest.raises(NotPrime):
         ppd.multiplicative_order(6, 5)
