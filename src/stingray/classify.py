@@ -86,17 +86,12 @@ def classify_element(g, e):
     if not 1 <= e < d:
         raise StingrayUsageError("block size e must satisfy 1 <= e < d")
     F = g.field
-    cp = fmatrix.char_poly(g)
-    if cp.coeffs[0] == 0:
-        raise Singular("matrix is singular")
+    fac, mp_fac, order = fmatrix._analysis(g)
     tm1 = fpoly.DensePoly(F, [F.neg_enc(1), 1])
-    fac = fpoly.factor_cached(cp).factors
     non1 = [(f, m) for f, m in fac if f != tm1]
     blocks = tuple((f.degree, m) for f, m in non1)
-    fixed_dim = fmatrix.fixed_space(g).dim
-    mp_fac = fmatrix._min_poly_factors(g, fac)
+    fixed_dim = d - (g - fmatrix.identity(F, d)).rank()
     semisimple = all(m == 1 for _, m in mp_fac)
-    order = fmatrix._order_from_factors(F, mp_fac)
 
     base = dict(d=d, q=F.q, order=order, semisimple=semisimple,
                 fixed_dim=fixed_dim, irreducible_blocks=blocks)
@@ -153,32 +148,28 @@ def classify_element(g, e):
 def is_stingray_oracle(g, e):
     """Decomposition-based stingray test, independent of classify_element.
 
-    Checks dim ker(g-1) = d-e, trivial intersection of the kernel with
-    im(g-1), and irreducibility of the action restricted to the image.  By
-    rank-nullity dim im(g-1) = e exactly when dim ker(g-1) = d-e, so the
-    image is built only then, which most elements never reach.  The image
-    is invariant because g commutes with g-1 (restrict raises NotInvariant
-    if it were not).  Irreducibility is Rabin's test on the characteristic
-    polynomial of the e x e restriction: it is irreducible exactly when
-    the minimal polynomial is irreducible of degree e.  Neither min_poly
-    nor fpoly.factor is called, so the oracle shares no factorization with
+    g is an e-stingray element when g acts irreducibly on W = im(g-1), of
+    dimension e, and the fixed space ker(g-1) is a complement of W.  So
+    the test is rank(g-1) = e, then, on the invariant W (g commutes with
+    g-1; restrict raises NotInvariant if it were not), the characteristic
+    polynomial cp of the e x e restriction: cp(1) != 0 says g-1 is
+    invertible on W, which is ker(g-1) meeting W in 0, and cp(0) != 0
+    makes g invertible there.  The action on W is irreducible exactly
+    when cp is (fpoly.is_irreducible).  Neither min_poly nor fpoly.factor
+    is called, so the oracle shares no factorization with
     classify_element.
 
     Singular g raises Singular.  When the checks pass, V is the direct sum
-    of ker(g-1), where g = 1, and the invariant im(g-1), so det g is the
-    determinant of the restriction, read off its characteristic polynomial;
-    otherwise, or when that determinant is 0, the rank of g decides.
+    of ker(g-1), where g = 1, and W, so det g = +-cp(0) != 0; when one of
+    them fails, the rank of g decides.
     """
     d = g.nrows
     F = g.field
     gm1 = g - fmatrix.identity(F, d)
-    fix = fmatrix.kernel(gm1)
-    if fix.dim == d - e:
-        w = fmatrix.image(gm1)
-        if fix.intersect(w).dim == 0:
-            cp = fmatrix.char_poly(fmatrix.restrict(g, w))
-            if cp.coeffs[0] != 0:
-                return fpoly.is_irreducible(cp)
+    if gm1.rank() == e:
+        cp = fmatrix.char_poly(fmatrix.restrict(g, fmatrix.image(gm1)))
+        if cp.eval_enc(1) != 0 and cp.coeffs[0] != 0:
+            return fpoly.is_irreducible(cp)
     if g.rank() == d:
         return False
     raise Singular("matrix is singular")
@@ -247,12 +238,7 @@ def eigenvalue_multiplicities(g, r):
         raise CharacteristicOrder("r equals the characteristic %d" % F.p)
     if r < 3 or not is_prime(r):
         raise UnsupportedR("r must be an odd prime, got %d" % r)
-    cp = fmatrix.char_poly(g)
-    if cp.coeffs[0] == 0:
-        raise Singular("matrix is singular")
-    cp_factors = fpoly.factor_cached(cp).factors
-    order = fmatrix._order_from_factors(
-        F, fmatrix._min_poly_factors(g, cp_factors))
+    cp_factors, _, order = fmatrix._analysis(g)
     if order == 1:
         mults = [d] + [0] * (r - 1)
         return cyclo.MultiplicitySolution(r=r, d=d, mults=tuple(mults))

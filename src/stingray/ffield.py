@@ -19,7 +19,7 @@ tables themselves are filled by doubling through that same product.
 Field construction goes through fpoly over the prime field: the modulus,
 when not supplied, is the lexicographically smallest monic irreducible of
 degree a over F_p (ascending coefficient lists compared as integer
-tuples), found with fpoly.is_irreducible (Rabin's test).  The tabled
+tuples), found with fpoly.is_irreducible (Ben-Or's test).  The tabled
 generator is generator_enc(), the smallest-encoding primitive element.
 Embeddings GF(p^a) -> GF(p^b) (a | b) send the class of the variable to
 the smallest root of the source modulus in the target (fpoly.roots), so

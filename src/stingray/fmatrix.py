@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from . import _kernels, fpoly
-from ._intmath import factorize
 from .errors import (DimensionMismatch, NotInvariant, NotSquare, Singular,
                      TooLarge)
 
@@ -296,18 +295,6 @@ class Subspace:
         return Subspace.from_rows(self.field, stacked,
                                   ambient_dim=self.ambient_dim)
 
-    def intersect(self, other):
-        """Zassenhaus: rref [F|F; W|0], rows with zero left half."""
-        d = self.ambient_dim
-        top = np.hstack([self.basis, self.basis])
-        bot = np.hstack([other.basis, np.zeros_like(other.basis)])
-        stacked = np.vstack([top, bot])
-        if stacked.shape[0] == 0:
-            return Subspace.from_rows(self.field, [], ambient_dim=d)
-        R, piv, rank = _kernels.rref(self.field, stacked)
-        rows = [R[r, d:] for r in range(rank) if not np.any(R[r, :d])]
-        return Subspace.from_rows(self.field, rows, ambient_dim=d)
-
     def is_invariant(self, g):
         images = _kernels.matmul(g.field, self.basis, g.arr)
         return self._coords(images) is not None
@@ -410,13 +397,21 @@ def min_poly(g):
         g.field)
 
 
-def _order_from_factors(F, mp_factors):
-    """Order from the (irreducible, multiplicity) pairs of a minimal
-    polynomial with nonzero constant term.
+def _analysis(g):
+    """(characteristic factors, minimal factors, order) of an invertible
+    matrix, each factor list of (monic irreducible, multiplicity) pairs.
 
-    Splits as s * p^k: s is the lcm of the root orders of the distinct
-    irreducible factors, and p^k covers the largest multiplicity.
+    The order splits as s * p^k: s is the lcm of the root orders of the
+    distinct irreducible factors, and p^k covers the largest multiplicity
+    in the minimal polynomial.
     """
+    g._square()
+    F = g.field
+    cp = char_poly(g)
+    if cp.coeffs[0] == 0:
+        raise Singular("matrix is singular")
+    cp_factors = fpoly.factor_cached(cp).factors
+    mp_factors = _min_poly_factors(g, cp_factors)
     s = 1
     max_mult = 1
     tm1 = fpoly.DensePoly(F, [F.neg_enc(1), 1])
@@ -429,14 +424,9 @@ def _order_from_factors(F, mp_factors):
     pk = 1
     while pk < max_mult:
         pk *= F.p
-    return s * pk
+    return cp_factors, mp_factors, s * pk
 
 
 def matrix_order(g):
     """Multiplicative order of an invertible matrix."""
-    g._square()
-    cp = char_poly(g)
-    if cp.coeffs[0] == 0:
-        raise Singular("matrix is singular")
-    cp_factors = fpoly.factor_cached(cp).factors
-    return _order_from_factors(g.field, _min_poly_factors(g, cp_factors))
+    return _analysis(g)[2]

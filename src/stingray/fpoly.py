@@ -13,9 +13,10 @@ FieldSpec call per coefficient pair.  Powers modulo a polynomial are not:
 powmod works in QuotientRing, GF(q)[t]/(f) on base-p digit vectors, whose
 product is _kernels.ring_mul (Lidl-Niederreiter, Finite Fields, ch. 2).
 The ring's tables are built with array operations and kept in a single
-slot while consecutive calls share a modulus (the Rabin chain, the
-root-order descent, the distinct- and equal-degree steps).  Modulo t - c
-the ring is GF(q) itself and a power is FieldSpec.pow_enc of f(c).
+slot while consecutive calls share a modulus (the root-order descent, the
+distinct- and equal-degree steps).  is_irreducible is Ben-Or's test: the
+first part the distinct-degree loop yields is f itself exactly when f is
+irreducible.
 The order of t modulo an irreducible f of degree k (Celler-Leedham-Green,
 1997) is the product-tree descent _intmath.factorization_order_descend
 over the factored q^k - 1, run on the ring's digit vectors with
@@ -30,8 +31,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import _kernels, ppd
-from ._intmath import (SplitMix64, _memo, factorize,
-                       factorization_order_descend)
+from ._intmath import SplitMix64, _memo, factorization_order_descend
 from .errors import (CharacteristicDividesR, DivisionByZero, FieldMismatch,
                      ZeroPolynomial)
 
@@ -319,9 +319,6 @@ def powmod(f, e, mod):
         if mod.is_zero():
             raise DivisionByZero("polynomial division by zero")
         return DensePoly(F, [])
-    if mod.degree == 1:
-        c = F.mul_enc(F.neg_enc(mod.coeffs[0]), F.inv_enc(mod.coeffs[1]))
-        return constant(F, F.pow_enc(f.eval_enc(c), e))
     mod = mod.monic()
     if f.degree >= mod.degree:
         f = f % mod
@@ -330,28 +327,17 @@ def powmod(f, e, mod):
 
 
 def is_irreducible(f):
-    """Rabin's criterion over GF(q): f of degree n is irreducible iff
-    x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n.
+    """Ben-Or's test over GF(q) (Ben-Or, "Probabilistic algorithms in
+    finite fields", FOCS 1981): f of degree n >= 1 is irreducible iff
+    gcd(x^(q^d) - x, f) = 1 for every d <= n/2.
 
-    Both are read off one chain h_i = x^(q^i) mod f, h_(i+1) = h_i^q, so
-    the work is that of the single power x^(q^n).
+    A reducible f, squarefree or not, has an irreducible factor of degree
+    at most n/2, so the first part _distinct_degree yields has degree
+    d < n; an irreducible f passes every gcd and comes back whole.
     """
-    n = f.degree
-    if n <= 0:
+    if f.degree < 1:
         return False
-    if n == 1:
-        return True
-    F = f.field
-    q = F.q
-    f = f.monic()
-    x = x_poly(F) % f
-    checks = {n // ell for ell in factorize(n)[0]}
-    h = x
-    for i in range(1, n + 1):
-        h = powmod(h, q, f)
-        if i in checks and gcd(h - x, f).degree >= 1:
-            return False
-    return (h - x).is_zero()
+    return next(_distinct_degree(f.monic()))[1] == f.degree
 
 
 def _pth_root(f):
@@ -389,10 +375,10 @@ def squarefree_decomposition(f):
 
 
 def _distinct_degree(f):
-    """Split squarefree monic f into (product-of-degree-d-factors, d) parts."""
+    """Yield the (product-of-degree-d-factors, d) parts of squarefree monic
+    f, in increasing d."""
     F = f.field
     q = F.q
-    out = []
     x = x_poly(F)
     h = x % f
     d = 0
@@ -402,12 +388,11 @@ def _distinct_degree(f):
         h = powmod(h, q, rest)
         g = gcd(h - x % rest, rest)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             rest = rest // g
             h = h % rest
     if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
+        yield rest, rest.degree
 
 
 def _random_poly(F, deg_bound, rng):

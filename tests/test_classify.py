@@ -134,6 +134,69 @@ def test_oracle_builds_the_image_only_at_kernel_dimension_d_minus_e(
     assert len(calls) == 1
 
 
+def _conjugate(g, rng):
+    F, d = g.field, g.nrows
+    while True:
+        c = fmatrix.DenseMatrix(F, [[rng.randrange(F.q) for _ in range(d)]
+                                    for _ in range(d)])
+        if c.is_invertible():
+            return c.inverse() * g * c
+
+
+def test_oracle_at_block_size_one():
+    # a transvection has im(g-1) inside ker(g-1): the restriction's
+    # characteristic polynomial is t - 1, irreducible but with cp(1) = 0;
+    # a homology diag(c, 1, ..., 1), c not 0 or 1, is a 1-stingray element
+    rng = SplitMix64(12)
+    F5 = ffield.make_field(5)
+    for F, d in ((F2, 3), (F5, 4)):
+        u = fmatrix.identity(F, d).arr.copy()
+        u[0, 1] = 1
+        g = _conjugate(fmatrix.DenseMatrix(F, u), rng)
+        assert not classify.is_stingray_oracle(g, 1)
+        assert classify.classify_element(g, 1).tag == classify.NOT_PPD
+    for c in (2, 3, 4):
+        g = _conjugate(fmatrix.diagonal(F5, [c, 1, 1, 1]), rng)
+        assert classify.is_stingray_oracle(g, 1)
+        cls = classify.classify_element(g, 1)
+        assert (cls.tag, cls.e, cls.fixed_dim) == (classify.STINGRAY, 1, 3)
+
+
+def test_oracle_matches_classify_on_conjugated_blocks():
+    # block(A, I) conjugated, for every e: A is the companion matrix of an
+    # irreducible (a stingray element unless A = 1), of any polynomial
+    # with nonzero constant term, or a random matrix
+    rng = SplitMix64(77)
+    for F, d in ((F2, 6), (F3, 5), (ffield.make_field(2, 2), 4)):
+        for e in range(1, d):
+            verdicts = []
+            for i in range(18):
+                if i % 3 == 2:
+                    A = fmatrix.DenseMatrix(
+                        F, [[rng.randrange(F.q) for _ in range(e)]
+                            for _ in range(e)])
+                else:
+                    while True:
+                        f = fpoly.DensePoly(
+                            F, [rng.randrange(F.q) for _ in range(e)] + [1])
+                        if f.coeffs[0] and (i % 3 or fpoly.is_irreducible(f)):
+                            break
+                    A = fmatrix.companion(f)
+                g = _conjugate(fmatrix.block_diagonal(
+                    [A, fmatrix.identity(F, d - e)]), rng)
+                try:
+                    cls = classify.classify_element(g, e)
+                except Singular:
+                    with pytest.raises(Singular):
+                        classify.is_stingray_oracle(g, e)
+                    continue
+                verdicts.append(classify.is_stingray_oracle(g, e))
+                assert verdicts[-1] == (cls.tag == classify.STINGRAY), g
+            # GF(2) has no 1-stingray element: diag(c, 1, ...) needs c != 1
+            assert False in verdicts
+            assert True in verdicts or (F.q, e) == (2, 1)
+
+
 def test_oracle_rejects_singular(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not factor polynomials")

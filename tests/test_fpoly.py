@@ -182,6 +182,55 @@ def test_is_irreducible_builds_one_quotient_ring(monkeypatch):
             assert built == [tuple(f.coeffs)]
 
 
+def test_is_irreducible_stops_at_the_first_factor_degree(monkeypatch):
+    # the distinct-degree loop finds t + 1 at d = 1, after one power,
+    # and proves an irreducible of degree n after floor(n/2) powers
+    calls = []
+    powmod = fpoly.powmod
+    monkeypatch.setattr(fpoly, "powmod",
+                        lambda *args: calls.append(args) or powmod(*args))
+    g = P(F2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)      # t^11 + t^2 + 1
+    assert fpoly.is_irreducible(g)
+    assert len(calls) == 5
+    calls.clear()
+    assert not fpoly.is_irreducible(P(F2, 1, 1) * g)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_is_irreducible_matches_sympy_galoistools(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+    F = ffield.make_field(p)
+    rng = SplitMix64(0xBE0 + p)
+    found = {}
+    for n in (8, 16, 48):
+        # random draws until four are irreducible; sympy sees those, the
+        # first four reducible ones, and products of irreducibles of
+        # degree n/2 or n/3, which have no smaller factor
+        irreducible, reducible = [], []
+        for _ in range(40 * n):
+            f = _random_poly(F, rng, n).monic()
+            (irreducible if fpoly.is_irreducible(f) else reducible).append(f)
+            if len(irreducible) == 4:
+                break
+        assert len(irreducible) == 4 and len(reducible) >= 4
+        found[n] = irreducible
+        reducible = reducible[:4]
+        if n == 16:
+            a, b = found[8][:2]
+            reducible += [a * b, a * a]
+        if n == 48:
+            a, b, h = found[16][:3]
+            reducible += [a * b * h, a * a * a]
+        for f in irreducible + reducible:
+            assert f.degree == n
+            want = gf_irreducible_p([int(c) for c in reversed(f.coeffs)],
+                                    p, ZZ)
+            assert fpoly.is_irreducible(f) == want == (f in irreducible), f
+
+
 def _brute_root_order(F, f):
     """Order of t modulo monic f, multiplying by t in tests/oracles
     arithmetic until the power is 1 again."""
