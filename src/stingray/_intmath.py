@@ -8,11 +8,14 @@ n < 3.317e24 via the standard 12-base set; beyond that it falls back to 64
 pseudo-random rounds and the result is flagged uncertified.  `factorize`
 is the package's one integer factorizer; the ppd module caches its
 factorizations of cyclotomic values and reads primitive prime divisors
-off them.  _memo is the package's one LRU memo, bounded by CACHE_CAP.
+off them.  Every memo of the package is a functools.lru_cache on a pure
+function of hashable arguments, bounded by CACHE_CAP unless it says
+otherwise, so each reports its hits, misses and size with cache_info().
+`power` is the package's one square-and-multiply.
 """
 
+import functools
 import math
-from collections import OrderedDict
 
 # Deterministic Miller-Rabin base set, valid for all n < 3,317,044,064,679,887,385,961,981.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
@@ -20,31 +23,29 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 64
 
 _SMALL_PRIME_LIMIT = 10 ** 6
-_small_primes = None          # sieve of primes < _SMALL_PRIME_LIMIT
-_primorial_segments = None    # list of (product, primes-slice) blocks
 
 
-# Entries of each memo kept with _memo (fpoly's factor and root-order
-# memos, ppd's factorizations of Phi_k(q)): a sweep no longer grows them
-# without limit, and classify-small's traced job (600 lookups, its repeats
-# nearly all among the few characteristic polynomials of GL(4,2)) never
-# evicts, so its hit ratio is that of an unbounded memo.  Over 18000
-# classify-small items the factor memo misses 5909 times against 5698
-# unbounded.
+# Entries of each bounded memo (fpoly's factor and root-order memos, ppd's
+# factorizations of Phi_k(q), ffield's per-field data): a sweep no longer
+# grows them without limit, and classify-small's traced job (600 lookups,
+# its repeats nearly all among the few characteristic polynomials of
+# GL(4,2)) never evicts, so its hit ratio is that of an unbounded memo.
+# Over 18000 classify-small items the factor memo misses 5909 times
+# against 5698 unbounded.
 CACHE_CAP = 1 << 12
 
 
-def _memo(cache, key, compute):
-    """cache[key] of an OrderedDict, computed on a miss; the least recently
-    used entry goes when the cache outgrows CACHE_CAP."""
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = compute()
-        if len(cache) > CACHE_CAP:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return got
+def power(x, n, mul, one):
+    """x^n for n >= 0 by left-to-right square-and-multiply with the
+    product `mul`; `one` is the answer for n = 0 and is never multiplied."""
+    if n == 0:
+        return one
+    r = x
+    for bit in bin(n)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, x)
+    return r
 
 
 class SplitMix64:
@@ -108,20 +109,13 @@ def _sieve(limit):
     return [i for i in range(limit) if flags[i]]
 
 
-def _ensure_tables():
-    global _small_primes, _primorial_segments
-    if _small_primes is not None:
-        return
-    _small_primes = _sieve(_SMALL_PRIME_LIMIT)
-    segments = []
-    block = 512
-    for i in range(0, len(_small_primes), block):
-        chunk = _small_primes[i:i + block]
-        prod = 1
-        for p in chunk:
-            prod *= p
-        segments.append((prod, chunk))
-    _primorial_segments = segments
+@functools.lru_cache(maxsize=None)
+def _primorial_segments():
+    """(product, primes) blocks of 512 consecutive primes below
+    _SMALL_PRIME_LIMIT, built on first use."""
+    primes = _sieve(_SMALL_PRIME_LIMIT)
+    chunks = [primes[i:i + 512] for i in range(0, len(primes), 512)]
+    return [(math.prod(chunk), chunk) for chunk in chunks]
 
 
 def is_probable_prime(n):
@@ -238,14 +232,13 @@ def factorize(n):
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    _ensure_tables()
     factors = {}
     certified = True
     if n == 1:
         return factors, certified
 
     # Trial stage: gcd against primorial segments covers every prime < 10^6.
-    for prod, chunk in _primorial_segments:
+    for prod, chunk in _primorial_segments():
         if n == 1 or chunk[0] * chunk[0] > n:
             break
         g = math.gcd(n, prod)

@@ -6,15 +6,16 @@ representation throughout the package.  A FieldSpec is the only
 description of a field: the matrix kernels in _kernels take it as it is,
 and use its tables or its scalar methods.
 
-Extension fields up to q <= TABLE_CAP = 2^20 get exp/log tables, built
-once per field and shared through an interning cache.  exp holds g^i for
-0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is the
-sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
-encodings, zero included, with no test (array or scalar alike).  Every
-product above the cap, scalar or array, is _kernels.ring_mul on base-p
-digits in fpoly.QuotientRing of the modulus over GF(p), whose gather index
-and reduction table the field keeps (FieldSpec._shift, _red); the exp
-tables themselves are filled by doubling through that same product.
+make_field interns every FieldSpec in one unbounded lru_cache keyed on
+(p, a, modulus).  Extension fields up to q <= TABLE_CAP = 2^20 get exp/log
+tables, built once per field.  exp holds g^i for 0 <= i < 2(q-1) and
+zeros up to its last index 4(q-1); log[0] is the sentinel 2(q-1).  So
+exp[log[x] + log[y]] is the product of any two encodings, zero included,
+with no test (array or scalar alike).  Every product above the cap, scalar
+or array, is _kernels.ring_mul on base-p digits in fpoly.QuotientRing of
+the modulus over GF(p), whose gather index and reduction table the field
+keeps (FieldSpec._shift, _red); the exp tables themselves are filled by
+doubling through that same product.
 
 Field construction goes through fpoly over the prime field: the modulus,
 when not supplied, is the lexicographically smallest monic irreducible of
@@ -23,19 +24,22 @@ tuples), found with fpoly.is_irreducible (Ben-Or's test).  The tabled
 generator is generator_enc(), the smallest-encoding primitive element.
 Embeddings GF(p^a) -> GF(p^b) (a | b) send the class of the variable to
 the smallest root of the source modulus in the target (fpoly.roots), so
-they are deterministic for a fixed field pair.
+they are deterministic for a fixed field pair.  The factored q - 1, the
+generator and the embedding roots are lru_caches of _intmath.CACHE_CAP
+entries, keyed on the fields.
 """
+
+import functools
 
 import numpy as np
 
 from . import _kernels, fpoly
-from ._intmath import factorize, is_prime, factorization_order_descend
+from ._intmath import (CACHE_CAP, factorization_order_descend, factorize,
+                       is_prime, power)
 from .errors import (DegreeMismatch, DivisionByZero, FieldMismatch, NoEmbedding,
                      NotPrime, ReducibleModulus)
 
 TABLE_CAP = 1 << 20
-
-_registry = {}
 
 
 def _smallest_irreducible(p, a):
@@ -53,16 +57,13 @@ class FieldSpec:
     """The field GF(p^a).  Immutable; instances are interned by make_field."""
 
     __slots__ = ("p", "a", "q", "modulus", "_exp", "_log", "_pw", "_red",
-                 "_shift", "_q1_factors", "_gen_enc", "_embeddings")
+                 "_shift")
 
     def __init__(self, p, a, modulus):
         self.p = p
         self.a = a
         self.q = p ** a
         self.modulus = modulus  # tuple of a+1 ints, ascending, or None for a == 1
-        self._q1_factors = None
-        self._gen_enc = None
-        self._embeddings = {}
         self._exp = self._log = None
         if a > 1:
             # what _kernels.mul needs without tables: the powers p^0..p^a
@@ -77,10 +78,9 @@ class FieldSpec:
 
     # -- construction helpers --
 
+    @functools.lru_cache(CACHE_CAP)
     def q1_factors(self):
-        if self._q1_factors is None:
-            self._q1_factors = factorize(self.q - 1)[0]
-        return self._q1_factors
+        return factorize(self.q - 1)[0]
 
     def _build_tables(self):
         # log[0] = 2(q-1) and exp is zero from index 2(q-1) on, so a product
@@ -163,14 +163,7 @@ class FieldSpec:
         if self._log is not None:
             return self._exp.item(self._log.item(x) * (n % (self.q - 1))
                                   % (self.q - 1))
-        r = 1
-        b = x
-        while n:
-            if n & 1:
-                r = self.mul_enc(r, b)
-            b = self.mul_enc(b, b)
-            n >>= 1
-        return r
+        return power(x, n, self.mul_enc, 1)
 
     def frob_enc(self, x, k):
         k %= self.a
@@ -184,21 +177,17 @@ class FieldSpec:
         return factorization_order_descend(
             x, self.q1_factors(), self.pow_enc, lambda y: y == 1)
 
+    @functools.lru_cache(CACHE_CAP)
     def generator_enc(self):
         """Smallest-encoding generator of the multiplicative group."""
-        if self._gen_enc is None:
-            if self.q == 2:
-                self._gen_enc = 1
-            else:
-                fac = self.q1_factors()
-                cofs = [(self.q - 1) // ell for ell in fac]
-                # for a > 1 the encodings below p are the prime subfield,
-                # whose orders divide p - 1 < q - 1
-                for cand in range(2 if self.a == 1 else self.p, self.q):
-                    if all(self.pow_enc(cand, c) != 1 for c in cofs):
-                        self._gen_enc = cand
-                        break
-        return self._gen_enc
+        if self.q == 2:
+            return 1
+        cofs = [(self.q - 1) // ell for ell in self.q1_factors()]
+        # for a > 1 the encodings below p are the prime subfield, whose
+        # orders divide p - 1 < q - 1
+        for cand in range(2 if self.a == 1 else self.p, self.q):
+            if all(self.pow_enc(cand, c) != 1 for c in cofs):
+                return cand
 
     # -- element factory and dunder plumbing --
 
@@ -322,20 +311,20 @@ def make_field(p, a=1, modulus=None):
         raise NotPrime("p must be below 2^31")
     if a < 1:
         raise DegreeMismatch("extension degree must be >= 1")
-    if a == 1:
-        if modulus is not None:
-            raise DegreeMismatch("prime fields take no modulus")
-        key = (p, 1, None)
-    else:
-        if modulus is None:
-            key0 = (p, a, "default")
-            if key0 in _registry:
-                return _registry[key0]
-            modulus = _smallest_irreducible(p, a)
-            got = make_field(p, a, modulus)
-            _registry[key0] = got
-            return got
+    if a == 1 and modulus is not None:
+        raise DegreeMismatch("prime fields take no modulus")
+    if modulus is not None:
         modulus = tuple(int(c) % p for c in modulus)
+    return _field(p, a, modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, a, modulus):
+    """The interned FieldSpec of make_field's validated p and a; a modulus
+    of None stands for the default one, and the two share an instance."""
+    if a > 1:
+        if modulus is None:
+            return _field(p, a, _smallest_irreducible(p, a))
         if len(modulus) != a + 1:
             raise DegreeMismatch("modulus must have degree %d" % a)
         if modulus[-1] != 1:
@@ -343,10 +332,7 @@ def make_field(p, a=1, modulus=None):
         if not fpoly.is_irreducible(fpoly.DensePoly(make_field(p), modulus)):
             raise ReducibleModulus("modulus %s is reducible over F_%d"
                                    % (list(modulus), p))
-        key = (p, a, modulus)
-    if key not in _registry:
-        _registry[key] = FieldSpec(p, a, modulus if a > 1 else None)
-    return _registry[key]
+    return FieldSpec(p, a, modulus)
 
 
 def field_from_q(q):
@@ -404,14 +390,18 @@ def embed(x, target):
                           % (source.p, source.a, target.p, target.a))
     if source.a == 1:
         return FqElem(target, x.enc)
-    beta = source._embeddings.get((target.p, target.a, target.modulus))
-    if beta is None:
-        roots = fpoly.roots(fpoly.DensePoly(target, source.modulus))
-        if not roots:
-            raise NoEmbedding("source modulus has no root in target")
-        beta = roots[0]
-        source._embeddings[(target.p, target.a, target.modulus)] = beta
+    beta = _embedding_root(source, target)
     acc = 0
     for c in reversed(x.coeffs):
         acc = target.add_enc(target.mul_enc(acc, beta), c)
     return FqElem(target, acc)
+
+
+@functools.lru_cache(CACHE_CAP)
+def _embedding_root(source, target):
+    """Image in target of the class of source's variable: the smallest root
+    of source's modulus in target."""
+    roots = fpoly.roots(fpoly.DensePoly(target, source.modulus))
+    if not roots:
+        raise NoEmbedding("source modulus has no root in target")
+    return roots[0]

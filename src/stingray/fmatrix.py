@@ -10,19 +10,25 @@ int64).
 """
 
 import math
+import operator
 
 import numpy as np
 
 from . import _kernels, fpoly
+from ._intmath import power
 from .errors import (DimensionMismatch, NotInvariant, NotSquare, Singular,
                      TooLarge)
 
 
 def _as_array(field, data):
-    arr = np.asarray(data, dtype=np.int64)
-    if arr.ndim != 2:
-        raise DimensionMismatch("matrix data must be two-dimensional")
-    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+    try:
+        arr = np.asarray(data, dtype=np.int64)
+    except OverflowError:
+        arr = None      # an entry beyond int64, so out of range
+    else:
+        if arr.ndim != 2:
+            raise DimensionMismatch("matrix data must be two-dimensional")
+    if arr is None or arr.size and (arr.min() < 0 or arr.max() >= field.q):
         raise ValueError("entry encoding out of range [0, %d)" % field.q)
     return np.ascontiguousarray(arr)
 
@@ -85,14 +91,7 @@ class DenseMatrix:
         d = self._square()
         if n < 0:
             return self.inverse() ** (-n)
-        result = identity(self.field, d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, operator.mul, identity(self.field, d))
 
     def transpose(self):
         return DenseMatrix(self.field, np.ascontiguousarray(self.arr.T))

@@ -12,26 +12,29 @@ DensePoly arithmetic (sum, product, division, gcd) is scalar, one
 FieldSpec call per coefficient pair.  Powers modulo a polynomial are not:
 powmod works in QuotientRing, GF(q)[t]/(f) on base-p digit vectors, whose
 product is _kernels.ring_mul (Lidl-Niederreiter, Finite Fields, ch. 2).
-The ring's tables are built with array operations and kept in a single
-slot while consecutive calls share a modulus (the root-order descent, the
-distinct- and equal-degree steps).  is_irreducible is Ben-Or's test: the
-first part the distinct-degree loop yields is f itself exactly when f is
-irreducible.
+The ring's tables are built with array operations and kept by _ring, a
+one-entry lru_cache, while consecutive calls share a modulus (the
+root-order descent, the distinct- and equal-degree steps).
+is_irreducible is Ben-Or's test: the first part the distinct-degree loop
+yields is f itself exactly when f is irreducible.
 The order of t modulo an irreducible f of degree k (Celler-Leedham-Green,
 1997) is the product-tree descent _intmath.factorization_order_descend
 over the factored q^k - 1, run on the ring's digit vectors with
 QuotientRing.pow and compared with the digits of 1; for k = 1 it is
-FieldSpec.order_enc of the root.  factor_cached and
-root_order_in_quotient memoize in LRU caches of _intmath.CACHE_CAP
-entries each.
+FieldSpec.order_enc of the root.  factor_cached and _root_order (behind
+root_order_in_quotient) are lru_caches of _intmath.CACHE_CAP entries each,
+keyed on the DensePoly, whose equality and hash are its field and
+coefficients.
 """
 
-from collections import OrderedDict
+import functools
+import operator
 
 import numpy as np
 
 from . import _kernels, ppd
-from ._intmath import SplitMix64, _memo, factorization_order_descend
+from ._intmath import (CACHE_CAP, SplitMix64, factorization_order_descend,
+                       power)
 from .errors import (CharacteristicDividesR, DivisionByZero, FieldMismatch,
                      ZeroPolynomial)
 
@@ -136,14 +139,7 @@ class DensePoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = DensePoly(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, operator.mul, DensePoly(self.field, [1]))
 
     def monic(self):
         if self.is_zero():
@@ -285,28 +281,16 @@ class QuotientRing:
         return _kernels.ring_mul(self.field.p, self.shift, self.red, x, y)
 
     def pow(self, x, e):
-        """x^e, left-to-right square-and-multiply; e >= 0 may be big."""
-        if e == 0:
-            one = np.zeros_like(x)
-            one[0] = 1
-            return one
-        r = x
-        for bit in bin(e)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, x)
-        return r
+        """x^e; e >= 0 may be big."""
+        one = np.zeros_like(x)
+        one[0] = 1
+        return power(x, e, self.mul, one)
 
 
-_last_ring = [None]
-
-
+@functools.lru_cache(maxsize=1)
 def _ring(f):
     """QuotientRing of monic f; rebuilt only when the modulus changes."""
-    R = _last_ring[0]
-    if R is None or R.modulus != f.coeffs or R.field != f.field:
-        R = _last_ring[0] = QuotientRing(f)
-    return R
+    return QuotientRing(f)
 
 
 def powmod(f, e, mod):
@@ -467,10 +451,7 @@ def factor(f):
     return Factorization(unit, pieces)
 
 
-_factor_cache = OrderedDict()
-_root_order_cache = OrderedDict()
-
-
+@functools.lru_cache(CACHE_CAP)
 def factor_cached(f):
     """factor() with memoization keyed by field and coefficients.
 
@@ -478,8 +459,7 @@ def factor_cached(f):
     polynomials thousands of times; Factorization objects are immutable
     in practice, so sharing them is safe.
     """
-    key = (f.field.p, f.field.a, f.field.modulus, tuple(f.coeffs))
-    return _memo(_factor_cache, key, lambda: factor(f))
+    return factor(f)
 
 
 def roots(f):
@@ -506,13 +486,12 @@ def root_order_in_quotient(f):
 
     This is the common order of the roots of f in its splitting field.
     """
-    F = f.field
     if f.coeffs and f.coeffs[0] == 0:
         raise ZeroPolynomial("t is not a unit modulo f when f(0) = 0")
-    key = (F.p, F.a, F.modulus, tuple(f.coeffs))
-    return _memo(_root_order_cache, key, lambda: _root_order(f))
+    return _root_order(f)
 
 
+@functools.lru_cache(CACHE_CAP)
 def _root_order(f):
     F = f.field
     f = f.monic()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, ffield, fmatrix
+from . import _kernels, ffield, fmatrix, fpoly
 from ._intmath import SplitMix64
 from .errors import (ActionTooLarge, BadTwist, CharTooSmallForSymcube,
                      DegreeTooSmall, DimensionMismatch, OddDimensionSymplectic,
@@ -172,23 +172,11 @@ def natural_generators(F):
 
 
 def _form_image(F, m, i):
-    """Coefficients of (aX+bY)^(3-i) (cX+dY)^i on X^3, X^2Y, XY^2, Y^3."""
-    a, b = int(m.arr[0, 0]), int(m.arr[0, 1])
-    c, d = int(m.arr[1, 0]), int(m.arr[1, 1])
-    coeffs = [1]
-    for _ in range(3 - i):
-        nxt = [0] * (len(coeffs) + 1)
-        for j, cf in enumerate(coeffs):
-            nxt[j] = F.add_enc(nxt[j], F.mul_enc(a, cf))
-            nxt[j + 1] = F.add_enc(nxt[j + 1], F.mul_enc(b, cf))
-        coeffs = nxt
-    for _ in range(i):
-        nxt = [0] * (len(coeffs) + 1)
-        for j, cf in enumerate(coeffs):
-            nxt[j] = F.add_enc(nxt[j], F.mul_enc(c, cf))
-            nxt[j + 1] = F.add_enc(nxt[j + 1], F.mul_enc(d, cf))
-        coeffs = nxt
-    return coeffs
+    """Coefficients of (aX+bY)^(3-i) (cX+dY)^i on X^3, X^2Y, XY^2, Y^3,
+    those of (a + bY)^(3-i) (c + dY)^i on 1, Y, Y^2, Y^3."""
+    ab, cd = m.arr.tolist()
+    f = fpoly.DensePoly(F, ab) ** (3 - i) * fpoly.DensePoly(F, cd) ** i
+    return f.coeffs + [0] * (4 - len(f.coeffs))
 
 
 def symcube_gram(field):
@@ -209,15 +197,10 @@ def symcube_gram(field):
 
 
 def _kron2(F, A, B):
-    out = np.zeros((4, 4), dtype=np.int64)
-    for i in range(2):
-        for j in range(2):
-            aij = int(A.arr[i, j])
-            if aij:
-                for k in range(2):
-                    for l in range(2):
-                        out[2 * i + k, 2 * j + l] = F.mul_enc(aij, int(B.arr[k, l]))
-    return fmatrix.DenseMatrix(F, out)
+    """The Kronecker product of 2x2 matrices: entry (2i + k, 2j + l) is
+    A[i, j] B[k, l]."""
+    out = _kernels.mul(F, A.arr[:, None, :, None], B.arr[None, :, None, :])
+    return fmatrix.DenseMatrix(F, out.reshape(4, 4))
 
 
 def _frob_matrix(m, k):
@@ -307,15 +290,12 @@ def _symplectic_transvection(F, J, v, lam=1):
     """x -> x + lam B(x, v) v with B(x, v) = x J v^T; always symplectic."""
     d = J.nrows
     # B(e_i, v) = e_i J v^T = (J v^T)_i, i.e. v acted on by J^T
-    u = fmatrix.apply_row(np.asarray(v, dtype=np.int64), J.transpose())
-    arr = fmatrix.identity(F, d).arr.copy()
-    for i in range(d):
-        c = F.mul_enc(lam, int(u[i]))
-        if c:
-            for j in range(d):
-                arr[i, j] = F.add_enc(int(arr[i, j]), F.mul_enc(c, int(v[j])))
-    m = fmatrix.DenseMatrix(F, arr)
-    return m
+    v = np.asarray(v, dtype=np.int64)
+    u = fmatrix.apply_row(v, J.transpose())
+    # I + (lam u)^T v
+    step = _kernels.mul(F, _kernels.mul(F, lam, u)[:, None], v[None, :])
+    return fmatrix.DenseMatrix(F, _kernels.add(F, fmatrix.identity(F, d).arr,
+                                               step))
 
 
 def classical_generators(family, d, q):

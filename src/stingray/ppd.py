@@ -6,9 +6,10 @@ such r satisfies r = 1 (mod e).
 
 q^e - 1 is factored through its cyclotomic split q^e - 1 = prod_{k | e}
 Phi_k(q), with each Phi_k(q) computed exactly by Moebius inversion and
-factored once per (q, k) pair by _intmath.factorize; the per-pair cache
-(an LRU of _intmath.CACHE_CAP entries) is what keeps sweeps over many e
-for the same q cheap, since divisors k of different e repeat.
+factored once per (q, k) pair by _intmath.factorize; the per-pair memo
+_factor_phi (an lru_cache of _intmath.CACHE_CAP entries) is what keeps
+sweeps over many e for the same q cheap, since divisors k of different e
+repeat.
 
 The e-ppd primes are read off the same cached factorization of Phi_e(q).
 Every e-ppd prime divides Phi_e(q), and a prime factor r of Phi_e(q) that
@@ -17,18 +18,15 @@ r divides no Phi_k(q) with k | e, k < e, so its multiplicity in Phi_e(q)
 is its full multiplicity in q^e - 1.
 """
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
-from ._intmath import (_memo, factorization_order_descend, factorize,
+from ._intmath import (CACHE_CAP, factorization_order_descend, factorize,
                        is_prime, is_prime_power)
 from .errors import (CompositeQ, NotCoprime, NotPrime, StingrayUsageError,
                      TooLarge)
 
 _BIT_CAP = 512
-
-# (q, k) -> (factor dict, certified), LRU of _intmath.CACHE_CAP entries
-_phi_cache = OrderedDict()
 
 
 def _mobius_divisor_data(k):
@@ -60,8 +58,10 @@ def cyclotomic_value(k, q):
     return num // den
 
 
+@functools.lru_cache(CACHE_CAP)
 def _factor_phi(q, k):
-    return _memo(_phi_cache, (q, k), lambda: factorize(cyclotomic_value(k, q)))
+    """(factor dict, certified) of Phi_k(q)."""
+    return factorize(cyclotomic_value(k, q))
 
 
 def factor_qe_minus_one(q, e):

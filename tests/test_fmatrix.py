@@ -258,6 +258,14 @@ def test_subspace_invariance():
     assert not line.is_invariant(g)
 
 
+def test_entries_beyond_int64_are_out_of_range():
+    # the same ValueError as any other out-of-range entry, not numpy's
+    # OverflowError
+    for rows in ([[2 ** 70]], [[0, -2 ** 70]], [[1], [2 ** 64]]):
+        with pytest.raises(ValueError, match="entry encoding out of range"):
+            M(F2, rows)
+
+
 def test_full_and_identity_helpers():
     full = fmatrix.Subspace.full(F2, 4)
     assert full.dim == 4

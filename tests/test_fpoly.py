@@ -175,7 +175,7 @@ def test_is_irreducible_builds_one_quotient_ring(monkeypatch):
     rng = SplitMix64(11)
     for F, n in ((F2, 8), (F3, 6), (F4, 5), (F9, 4), (F2, 12)):
         for _ in range(3):
-            monkeypatch.setattr(fpoly, "_last_ring", [None])
+            fpoly._ring.cache_clear()
             f = _random_poly(F, rng, n).monic()
             built.clear()
             fpoly.is_irreducible(f)

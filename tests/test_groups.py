@@ -116,6 +116,36 @@ def test_twist_is_homomorphism():
             assert mod.to_matrix(a * b) == mod.to_matrix(a) * mod.to_matrix(b)
 
 
+def test_module_images_match_scalar_reference():
+    # symmetric cube and twisted tensor square of random 2x2 matrices,
+    # entry by entry with the scalar field methods
+    rng = SplitMix64(13)
+    for q, spec in ((5, groups.SYMCUBE), (7, groups.SYMCUBE),
+                    (8, groups.twist(0, 1)), (64, groups.twist(0, 2))):
+        mod = groups.sl2_module(q, spec)
+        F = mod.group.field
+        for _ in range(20):
+            rows = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
+            if spec == groups.SYMCUBE:
+                # coefficients of (aX+bY)^(3-i) (cX+dY)^i, one linear
+                # factor at a time
+                want = []
+                for i in range(4):
+                    cf = [1]
+                    for x, y in [rows[0]] * (3 - i) + [rows[1]] * i:
+                        cf = [F.add_enc(F.mul_enc(x, u), F.mul_enc(y, v))
+                              for u, v in zip(cf + [0], [0] + cf)]
+                    want.append(tuple(cf))
+            else:
+                A = [[F.frob_enc(x, spec[1]) for x in r] for r in rows]
+                B = [[F.frob_enc(x, spec[2]) for x in r] for r in rows]
+                want = [tuple(F.mul_enc(A[i][j], B[k][m])
+                              for j in range(2) for m in range(2))
+                        for i in range(2) for k in range(2)]
+            got = mod.to_matrix(fmatrix.DenseMatrix(F, rows))
+            assert _as_rows(got) == tuple(want), (q, spec, rows)
+
+
 def test_twist_validation():
     with pytest.raises(BadTwist):
         groups.sl2_module(8, groups.twist(1, 1))

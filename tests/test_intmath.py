@@ -1,12 +1,10 @@
 import math
-from collections import OrderedDict
 
 import pytest
 
-from stingray import _intmath
 from stingray._intmath import (SplitMix64, factorization_order_descend,
                                factorize, iroot, is_prime, is_prime_power,
-                               is_probable_prime)
+                               is_probable_prime, power)
 
 import oracles
 
@@ -113,18 +111,21 @@ def test_randint_choice_shuffle():
     assert sorted(shuffled) == seq
 
 
-def test_memo_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(_intmath, "CACHE_CAP", 2)
-    cache = OrderedDict()
-    calls = []
+def test_power_never_multiplies_by_one():
+    # left to right: bit_length - 1 squarings and popcount - 1 products
+    # by x, none of them with `one`
+    one = object()
+    for n in list(range(1, 70)) + [2 ** 64 - 1, 3 ** 40]:
+        calls = []
 
-    def get(key):
-        return _intmath._memo(cache, key, lambda: calls.append(key) or -key)
+        def mul(x, y):
+            assert x is not one and y is not one
+            calls.append(1)
+            return x * y % 1000003
 
-    assert [get(1), get(2), get(1), get(3)] == [-1, -2, -1, -3]
-    # the hit on 1 made 2 the least recently used entry
-    assert list(cache) == [1, 3]
-    assert calls == [1, 2, 3]
+        assert power(7, n, mul, one) == pow(7, n, 1000003)
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2
+    assert power(7, 0, None, one) is one
 
 
 @pytest.mark.parametrize("fac", [{2: 3, 3: 2, 5: 3, 7: 1}, {2: 3, 7: 1, 13: 1},

@@ -1,8 +1,8 @@
-from collections import OrderedDict
+import functools
 
 import pytest
 
-from stingray import _intmath, ppd
+from stingray import ppd
 from stingray.errors import (CompositeQ, NotCoprime, NotPrime,
                              StingrayUsageError, TooLarge)
 
@@ -137,16 +137,20 @@ def test_matches_sympy_factorint():
 
 
 def test_phi_cache_is_bounded(monkeypatch):
-    # with the cap at 3 the cache never holds more, and pairs it evicted
-    # come back with the same answers
+    # bounded at 3 the memo never holds more, and pairs it evicted come
+    # back with the same answers
     pairs = [(q, e) for q in (2, 3, 4, 5) for e in range(1, 13)]
     want = {qe: (ppd.primitive_prime_divisors(*qe),
                  ppd.factor_qe_minus_one(*qe)) for qe in pairs}
-    monkeypatch.setattr(_intmath, "CACHE_CAP", 3)
-    monkeypatch.setattr(ppd, "_phi_cache", OrderedDict())
+    small = functools.lru_cache(3)(ppd._factor_phi.__wrapped__)
+    monkeypatch.setattr(ppd, "_factor_phi", small)
     for _ in range(2):
         for qe in pairs:
             assert (ppd.primitive_prime_divisors(*qe),
                     ppd.factor_qe_minus_one(*qe)) == want[qe]
-            assert len(ppd._phi_cache) <= 3
-    assert len(ppd._phi_cache) == 3
+            assert small.cache_info().currsize <= 3
+    info = small.cache_info()
+    assert info.currsize == 3
+    # the second pass recomputed evicted pairs
+    assert info.misses > len({(q, k) for q, e in pairs
+                              for k in range(1, e + 1) if e % k == 0})

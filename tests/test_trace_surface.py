@@ -2,12 +2,15 @@
 
 The tracer replaces them by name, so a rename or deletion in the package
 would otherwise surface only when `perfbench/run.py --trace 1` fails.
+The package's memos are lru_caches, whose cache_info() reports hits,
+misses and size.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from stingray import _intmath, _kernels, ffield, fpoly, ppd
 from stingray.ffield import FieldSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -36,3 +39,19 @@ def test_every_traced_scalar_resolves():
     tracing = _load_tracing()
     for meth in tracing.SCALAR:
         assert callable(getattr(FieldSpec, meth, None)), meth
+
+
+def test_every_memo_is_an_lru_cache():
+    cap = _intmath.CACHE_CAP
+    memos = {fpoly.factor_cached: cap, fpoly._root_order: cap,
+             ppd._factor_phi: cap, FieldSpec.q1_factors: cap,
+             FieldSpec.generator_enc: cap, ffield._embedding_root: cap,
+             fpoly._ring: 1, _kernels.shift_index: 16,
+             ffield._field: None, _intmath._primorial_segments: None}
+    for memo, maxsize in memos.items():
+        assert memo.cache_info().maxsize == maxsize, memo
+    # one interned instance whatever the modulus is given as
+    F8 = ffield.make_field(2, 3)
+    assert ffield.make_field(2, 3, list(F8.modulus)) is F8
+    assert ffield.make_field(2, 3, tuple(F8.modulus)) is F8
+    assert ffield.make_field(2, 3, [c + 2 for c in F8.modulus]) is F8
