@@ -31,10 +31,11 @@ NOT_PPD = "NOT_PPD"
 
 # construct_stingray factors (t^r - 1)/(t - 1), of degree r - 1, into
 # (r - 1)/e factors of degree e.  Few large factors cost the most; single
-# runs of fpoly.factor on a 2-vCPU VM: 0.19 s at r = 199 over GF(2)
-# (e = 99), 0.72 s at r = 251 over GF(3) (e = 125), 1.3 s at r = 409 over
-# GF(2) (e = 204) and 8.2 s at r = 503 over GF(2) (e = 251), most of it
-# now in the scalar gcd of the distinct-degree split.
+# runs of fpoly.factor on a 2-vCPU VM: 0.32 s at r = 199 over GF(2)
+# (e = 99), 1.4 s at r = 251 over GF(3) (e = 125), 3.7 s at r = 409 over
+# GF(2) (e = 204) and 28 s at r = 503 over GF(2) (e = 251).  The
+# distinct-degree split takes 0.24, 0.63, 2.7 and 4.8 s of these, and the
+# equal-degree split most of the rest, so r = 503 breaks the 20 s rule.
 MAX_CONSTRUCT_R = 256
 
 
@@ -90,7 +91,13 @@ def classify_element(g, e):
     tm1 = fpoly.DensePoly(F, [F.neg_enc(1), 1])
     non1 = [(f, m) for f, m in fac if f != tm1]
     blocks = tuple((f.degree, m) for f, m in non1)
-    fixed_dim = d - (g - fmatrix.identity(F, d)).rank()
+    # t - 1 divides the characteristic polynomial m1 times, and
+    # 1 <= dim ker(g - 1) <= m1 when m1 >= 1, so only m1 >= 2 needs a rank
+    m1 = d - sum(f.degree * m for f, m in non1)
+    if m1 <= 1:
+        fixed_dim = m1
+    else:
+        fixed_dim = d - (g - fmatrix.identity(F, d)).rank()
     semisimple = all(m == 1 for _, m in mp_fac)
 
     base = dict(d=d, q=F.q, order=order, semisimple=semisimple,

@@ -6,16 +6,18 @@ representation throughout the package.  A FieldSpec is the only
 description of a field: the matrix kernels in _kernels take it as it is,
 and use its tables or its scalar methods.
 
-make_field interns every FieldSpec in one unbounded lru_cache keyed on
-(p, a, modulus).  Extension fields up to q <= TABLE_CAP = 2^20 get exp/log
-tables, built once per field.  exp holds g^i for 0 <= i < 2(q-1) and
-zeros up to its last index 4(q-1); log[0] is the sentinel 2(q-1).  So
-exp[log[x] + log[y]] is the product of any two encodings, zero included,
-with no test (array or scalar alike).  Every product above the cap, scalar
-or array, is _kernels.ring_mul on base-p digits in fpoly.QuotientRing of
-the modulus over GF(p), whose gather index and reduction table the field
-keeps (FieldSpec._shift, _red); the exp tables themselves are filled by
-doubling through that same product.
+make_field validates its arguments once per (p, a, modulus) in an
+unbounded lru_cache, and interns every FieldSpec in a second one keyed
+on (p, a, proved modulus), so the default modulus and the same modulus
+given explicitly share an instance.  Extension fields up to q <=
+TABLE_CAP = 2^20 get exp/log tables, built once per field.  exp holds
+g^i for 0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is
+the sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
+encodings, zero included, with no test (array or scalar alike).  Every
+product above the cap, scalar or array, is _kernels.ring_mul on base-p
+digits in fpoly.QuotientRing of the modulus over GF(p), whose gather
+index and reduction table the field keeps (FieldSpec._shift, _red); the
+exp tables themselves are filled by doubling through that same product.
 
 Field construction goes through fpoly over the prime field: the modulus,
 when not supplied, is the lexicographically smallest monic irreducible of
@@ -320,18 +322,24 @@ def make_field(p, a=1, modulus=None):
 
 @functools.lru_cache(maxsize=None)
 def _field(p, a, modulus):
-    """The interned FieldSpec of make_field's validated p and a; a modulus
-    of None stands for the default one, and the two share an instance."""
+    """The FieldSpec of make_field's validated p and a.  A modulus of None
+    stands for the default one, which _smallest_irreducible has already
+    proved irreducible, and the two share an instance."""
     if a > 1:
         if modulus is None:
-            return _field(p, a, _smallest_irreducible(p, a))
-        if len(modulus) != a + 1:
+            modulus = _smallest_irreducible(p, a)
+        elif len(modulus) != a + 1:
             raise DegreeMismatch("modulus must have degree %d" % a)
-        if modulus[-1] != 1:
+        elif modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic")
-        if not fpoly.is_irreducible(fpoly.DensePoly(make_field(p), modulus)):
+        elif not fpoly.is_irreducible(fpoly.DensePoly(make_field(p), modulus)):
             raise ReducibleModulus("modulus %s is reducible over F_%d"
                                    % (list(modulus), p))
+    return _interned(p, a, modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def _interned(p, a, modulus):
     return FieldSpec(p, a, modulus)
 
 

@@ -15,7 +15,12 @@ product is _kernels.ring_mul (Lidl-Niederreiter, Finite Fields, ch. 2).
 The ring's tables are built with array operations and kept by _ring, a
 one-entry lru_cache, while consecutive calls share a modulus (the
 root-order descent, the distinct- and equal-degree steps).
-is_irreducible is Ben-Or's test: the first part the distinct-degree loop
+The distinct-degree split keeps the scalar gcds few: its Frobenius steps
+run in the ring of the squarefree part, and it makes one gcd per block of
+about sqrt(n/2) steps against the product of the block's t^(q^i) - t
+(interval products, von zur Gathen-Shoup 1992), more only inside a block
+that holds a factor.
+is_irreducible is Ben-Or's test: the first part the distinct-degree split
 yields is f itself exactly when f is irreducible.
 The order of t modulo an irreducible f of degree k (Celler-Leedham-Green,
 1997) is the product-tree descent _intmath.factorization_order_descend
@@ -28,6 +33,7 @@ coefficients.
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -317,7 +323,9 @@ def is_irreducible(f):
 
     A reducible f, squarefree or not, has an irreducible factor of degree
     at most n/2, so the first part _distinct_degree yields has degree
-    d < n; an irreducible f passes every gcd and comes back whole.
+    d < n; an irreducible f passes every block's gcd, floor(n/2) Frobenius
+    steps in all, and comes back whole.  A reducible f stops after the
+    first block that holds a factor.
     """
     if f.degree < 1:
         return False
@@ -360,21 +368,45 @@ def squarefree_decomposition(f):
 
 def _distinct_degree(f):
     """Yield the (product-of-degree-d-factors, d) parts of squarefree monic
-    f, in increasing d."""
-    F = f.field
-    q = F.q
-    x = x_poly(F)
-    h = x % f
-    d = 0
-    rest = f
-    while rest.degree > 2 * d + 1:
-        d += 1
-        h = powmod(h, q, rest)
-        g = gcd(h - x % rest, rest)
-        if g.degree > 0:
-            yield g, d
-            rest = rest // g
-            h = h % rest
+    f, in increasing d.
+
+    Interval products (von zur Gathen-Shoup, "Computing Frobenius maps and
+    factoring polynomials", Comput. Complexity 2, 1992): in the ring of f,
+    built once, the Frobenius steps h_i = t^(q^i) run on digit vectors in
+    blocks of isqrt(n/2) steps, n = deg f, and one gcd of rest with the
+    block's product of the h_i - t finds every factor of degree in the
+    block.  Only a nontrivial gcd g is split further, one gcd per step in
+    increasing i, where the last step needs none and a remainder of degree
+    below 2i is one irreducible.  A block stops at deg(rest)/2; then the
+    rest, if any, has no factor of degree at most half its own, so it is
+    irreducible.
+    """
+    rest, d = f, 0
+    if f.degree > 1:
+        F = f.field
+        R = _ring(f)
+        x = R.digits(x_poly(F))
+        h = x
+        block = math.isqrt(f.degree // 2)
+        while rest.degree > 2 * d + 1:
+            hs = []
+            for _ in range(min(block, rest.degree // 2 - d)):
+                h = R.pow(h, F.q)
+                hs.append((h - x) % F.p)
+            g = gcd(R.poly(functools.reduce(R.mul, hs)), rest)
+            if g.degree > 0:
+                rest = rest // g
+                for i, hx in enumerate(hs, d + 1):
+                    if g.degree < 2 * i or i == d + len(hs):
+                        yield g, g.degree if g.degree < 2 * i else i
+                        break
+                    gi = gcd(R.poly(hx), g)
+                    if gi.degree > 0:
+                        yield gi, i
+                        g = g // gi
+                        if g.degree == 0:
+                            break
+            d += len(hs)
     if rest.degree > 0:
         yield rest, rest.degree
 

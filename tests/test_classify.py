@@ -27,6 +27,32 @@ def test_constructed_stingray_shape():
     assert classify.is_stingray_oracle(g, 4)
 
 
+def test_fixed_dim_from_the_multiplicity_of_t_minus_1():
+    # m, the multiplicity of t - 1 in the characteristic polynomial, is
+    # the fixed dimension when m <= 1; at m = 2 the rank decides between a
+    # Jordan block (1) and a semisimple action (2)
+    c = _phi5_companion()
+    jordan = fmatrix.DenseMatrix(F2, [[1, 1], [0, 1]])
+    tm1 = fpoly.DensePoly(F2, [1, 1])
+    rng = SplitMix64(0xF1D)
+    for blocks, m, fixed in (([c], 0, 0),
+                             ([c, fmatrix.identity(F2, 1)], 1, 1),
+                             ([c, jordan], 2, 1),
+                             ([c, fmatrix.identity(F2, 2)], 2, 2)):
+        g = fmatrix.block_diagonal(blocks)
+        d = g.nrows
+        while True:
+            x = fmatrix.DenseMatrix(F2, [[rng.randrange(2) for _ in range(d)]
+                                         for _ in range(d)])
+            if x.is_invertible():
+                break
+        g = x.inverse() * g * x
+        assert dict(fpoly.factor(fmatrix.char_poly(g)).factors).get(
+            tm1, 0) == m
+        assert (classify.classify_element(g, 2).fixed_dim == fixed
+                == d - (g - fmatrix.identity(F2, d)).rank())
+
+
 def test_type_2i_from_phi17_octics():
     f = fpoly.cyclotomic_quotient(F2, 17)
     fac = fpoly.factor(f).factors

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stingray import ffield
+from stingray import ffield, fpoly
 from stingray.errors import (CompositeQ, DegreeMismatch, NoEmbedding,
                              NotPrime, ReducibleModulus)
 
@@ -40,6 +40,24 @@ def test_make_field_validation():
         ffield.make_field(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2
     with pytest.raises(DegreeMismatch):
         ffield.make_field(2, 0)
+
+
+def test_default_modulus_is_proved_once(monkeypatch):
+    # no other test builds GF(13^3): the search for its default modulus
+    # proves each candidate once, the winner included, and the same
+    # modulus given explicitly is proved once more and shares the instance
+    proved = []
+    is_irreducible = fpoly.is_irreducible
+    monkeypatch.setattr(fpoly, "is_irreducible",
+                        lambda f: proved.append(tuple(f.coeffs))
+                        or is_irreducible(f))
+    F = ffield.make_field(13, 3)
+    assert proved[-1] == F.modulus
+    assert len(proved) == len(set(proved))
+    proved.clear()
+    assert ffield.make_field(13, 3, F.modulus) is F
+    assert ffield.make_field(13, 3, list(F.modulus)) is F
+    assert proved == [F.modulus]
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -183,18 +184,23 @@ def test_is_irreducible_builds_one_quotient_ring(monkeypatch):
 
 
 def test_is_irreducible_stops_at_the_first_factor_degree(monkeypatch):
-    # the distinct-degree loop finds t + 1 at d = 1, after one power,
-    # and proves an irreducible of degree n after floor(n/2) powers
-    calls = []
-    powmod = fpoly.powmod
-    monkeypatch.setattr(fpoly, "powmod",
-                        lambda *args: calls.append(args) or powmod(*args))
+    # at degree 11 and 12 a block is isqrt(n/2) = 2 Frobenius steps with
+    # one gcd: t^11 + t^2 + 1 is proved irreducible after floor(11/2) = 5
+    # steps and 3 gcds, and (t + 1)g stops after its first block, whose
+    # gcd t + 1 is one irreducible and needs no refinement
+    steps, gcds = [], []
+    pow_, gcd = fpoly.QuotientRing.pow, fpoly.gcd
+    monkeypatch.setattr(fpoly.QuotientRing, "pow",
+                        lambda R, x, e: steps.append(e) or pow_(R, x, e))
+    monkeypatch.setattr(fpoly, "gcd",
+                        lambda f, g: gcds.append(g) or gcd(f, g))
     g = P(F2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)      # t^11 + t^2 + 1
     assert fpoly.is_irreducible(g)
-    assert len(calls) == 5
-    calls.clear()
+    assert (len(steps), len(gcds)) == (5, 3)
+    steps.clear()
+    gcds.clear()
     assert not fpoly.is_irreducible(P(F2, 1, 1) * g)
-    assert len(calls) == 1
+    assert (len(steps), len(gcds)) == (2, 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 251])
@@ -355,6 +361,28 @@ def test_factor_cached_same_object():
     assert fpoly.factor_cached(f) is fpoly.factor_cached(f)
 
 
+def _irreducible(F, rng, n):
+    while True:
+        f = _random_poly(F, rng, n).monic()
+        if fpoly.is_irreducible(f):
+            return f
+
+
+def _shape_products(F, rng):
+    """(factor degrees, product of random monic irreducibles of those
+    degrees): degrees that share a block of the distinct-degree split
+    (isqrt(n/2) Frobenius steps: 2 at n = 11, 3 at n = 21, 4 at n = 48),
+    a part of two factors of one degree, an irreducible of degree 48 and a
+    square."""
+    for shape in ((3, 4, 4), (5, 6, 10), (7, 7), (24, 24), (48,)):
+        f = P(F, 1)
+        for n in shape:
+            f = f * _irreducible(F, rng, n)
+        yield shape, f
+    a = _irreducible(F, rng, 12)
+    yield (5, 12, 12), a * a * _irreducible(F, rng, 5)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 251])
 def test_factor_matches_sympy_galoistools(p):
     pytest.importorskip("sympy")
@@ -362,6 +390,7 @@ def test_factor_matches_sympy_galoistools(p):
     from sympy.polys.galoistools import gf_factor
     F = ffield.make_field(p)
     rng = SplitMix64(0xFAC7 + p)
+    polys = []
     for i in range(40):
         if i % 2:
             f = _random_poly(F, rng, 1 + rng.randrange(12))
@@ -369,9 +398,31 @@ def test_factor_matches_sympy_galoistools(p):
             # a repeated factor exercises the squarefree split
             h = _random_poly(F, rng, 1 + rng.randrange(3))
             f = _random_poly(F, rng, rng.randrange(7)) * h * h
+        polys.append(f)
+    polys += [f for _, f in _shape_products(F, rng)]
+    for f in polys:
         unit, facs = gf_factor([int(c) for c in reversed(f.coeffs)], p, ZZ)
         want = sorted((tuple(int(c) for c in reversed(g)), k)
                       for g, k in facs)
         got = fpoly.factor(f)
         assert got.unit == unit % p
         assert sorted((tuple(g.coeffs), k) for g, k in got.factors) == want
+
+
+@pytest.mark.parametrize("q, digest", [(4, "6d56262cc9c96bf1"),
+                                       (9, "ff91a457627afa5a")])
+def test_factor_of_shape_products_over_extension_fields(q, digest):
+    # sympy's gf_factor takes prime fields only; here the factors are
+    # checked by expansion and irreducibility, and their list against a
+    # seeded digest of the one-gcd-per-degree split this one replaced
+    F = ffield.field_from_q(q)
+    rng = SplitMix64(0xB10C + q)
+    h = hashlib.sha256()
+    for shape, f in _shape_products(F, rng):
+        got = fpoly.factor(f)
+        assert got.unit == 1 and got.expand(F) == f
+        assert sorted(g.degree for g, m in got.factors
+                      for _ in range(m)) == sorted(shape)
+        assert all(fpoly.is_irreducible(g) for g, _ in got.factors)
+        h.update(repr([(g.coeffs, m) for g, m in got.factors]).encode())
+    assert h.hexdigest()[:16] == digest
