@@ -91,9 +91,6 @@ class SplitMix64:
     def randint(self, lo, hi):
         return lo + self.randrange(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, seq):
         for i in range(len(seq) - 1, 0, -1):
             j = self.randrange(i + 1)

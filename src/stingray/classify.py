@@ -260,16 +260,13 @@ def eigenvalue_multiplicities(g, r):
     for _ in range(r - 1):
         zpow.append(K.mul_enc(zpow[-1], zeta))
 
-    def send(enc):
-        return ffield.embed(F.element(enc), K).enc
-
     tm1 = fpoly.DensePoly(F, [F.neg_enc(1), 1])
     mults = [0] * r
     for f, m in cp_factors:
         if f == tm1:
             mults[0] += m
             continue
-        fk = f.map_field(K, send)
+        fk = f.map_field(K, lambda enc: ffield.embed(F, enc, K))
         hits = [i for i in range(1, r) if fk.eval_enc(zpow[i]) == 0]
         if len(hits) != f.degree:
             raise OrderMismatch(

@@ -14,7 +14,6 @@ on stderr; an unexpected exception is reported as
 """
 
 import argparse
-import os
 import sys
 
 from . import classify
@@ -129,7 +128,7 @@ def _cmd_order(args):
         g = _pick_generator(grp, args.gen)
         print(fmatrix.matrix_order(g))
         return EXIT_OK
-    print(groups.group_order(grp, action=args.action, seed=_seed(args)))
+    print(groups.group_order(grp, action=args.action))
     return EXIT_OK
 
 
@@ -268,7 +267,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
-                   help="|".join(harness.SUITES + ("ATLAS",)))
+                   help="|".join([*harness.SUITES, "ALL", "ATLAS"]))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--atlas-dir", default=None, metavar="DIR",
                    help="directory of .mgrp files for the optional "

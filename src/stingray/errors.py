@@ -57,6 +57,14 @@ class Singular(StingrayError):
     pass
 
 
+class SingularGenerator(Singular):
+    """A MatrixGroup generator of rank below its dimension."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
 class NotSquare(StingrayError):
     pass
 
@@ -152,9 +160,3 @@ class ParseError(StingrayError):
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
-
-
-class SingularGenerator(StingrayError):
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index

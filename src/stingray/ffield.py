@@ -2,9 +2,10 @@
 
 Elements are canonically encoded as integers sum c_i p^i with coefficient
 vector (c_0, ..., c_{a-1}); the encoding is the on-disk and in-matrix
-representation throughout the package.  A FieldSpec is the only
-description of a field: the matrix kernels in _kernels take it as it is,
-and use its tables or its scalar methods.
+representation throughout the package, and there is no element class:
+every operation, embed included, takes and returns encodings.  A
+FieldSpec is the only description of a field: the matrix kernels in
+_kernels take it as it is, and use its tables or its scalar methods.
 
 make_field validates its arguments once per (p, a, modulus) in an
 unbounded lru_cache, and interns every FieldSpec in a second one keyed
@@ -24,11 +25,12 @@ when not supplied, is the lexicographically smallest monic irreducible of
 degree a over F_p (ascending coefficient lists compared as integer
 tuples), found with fpoly.is_irreducible (Ben-Or's test).  The tabled
 generator is generator_enc(), the smallest-encoding primitive element.
-Embeddings GF(p^a) -> GF(p^b) (a | b) send the class of the variable to
-the smallest root of the source modulus in the target (fpoly.roots), so
-they are deterministic for a fixed field pair.  The factored q - 1, the
-generator and the embedding roots are lru_caches of _intmath.CACHE_CAP
-entries, keyed on the fields.
+embed(source, x, target) maps an encoding of GF(p^a) into GF(p^b)
+(a | b): the class of the variable goes to the smallest root of the
+source modulus in the target (fpoly.roots), so the embedding is
+deterministic for a fixed field pair, and x goes by Horner's rule on its
+base-p digits.  The factored q - 1, the generator and the embedding roots
+are lru_caches of _intmath.CACHE_CAP entries, keyed on the fields.
 """
 
 import functools
@@ -38,8 +40,8 @@ import numpy as np
 from . import _kernels, fpoly
 from ._intmath import (CACHE_CAP, factorization_order_descend, factorize,
                        is_prime, power)
-from .errors import (DegreeMismatch, DivisionByZero, FieldMismatch, NoEmbedding,
-                     NotPrime, ReducibleModulus)
+from .errors import (DegreeMismatch, DivisionByZero, NoEmbedding, NotPrime,
+                     ReducibleModulus)
 
 TABLE_CAP = 1 << 20
 
@@ -191,38 +193,6 @@ class FieldSpec:
             if all(self.pow_enc(cand, c) != 1 for c in cofs):
                 return cand
 
-    # -- element factory and dunder plumbing --
-
-    def element(self, value):
-        """FqElem from an integer encoding or an ascending coefficient list."""
-        if isinstance(value, (list, tuple)):
-            if len(value) > self.a:
-                raise DegreeMismatch("coefficient vector longer than degree")
-            enc = 0
-            for c in reversed(value):
-                enc = enc * self.p + c % self.p
-            return FqElem(self, enc)
-        value = int(value)
-        if not 0 <= value < self.q:
-            raise ValueError("encoding out of range [0, %d)" % self.q)
-        return FqElem(self, value)
-
-    @property
-    def zero(self):
-        return FqElem(self, 0)
-
-    @property
-    def one(self):
-        return FqElem(self, 1)
-
-    @property
-    def gen(self):
-        return FqElem(self, self.generator_enc())
-
-    def elements(self):
-        for enc in range(self.q):
-            yield FqElem(self, enc)
-
     def __eq__(self, other):
         return (isinstance(other, FieldSpec) and self.p == other.p
                 and self.a == other.a and self.modulus == other.modulus)
@@ -234,68 +204,6 @@ class FieldSpec:
         if self.a == 1:
             return "GF(%d)" % self.p
         return "GF(%d^%d; %s)" % (self.p, self.a, list(self.modulus))
-
-
-class FqElem:
-    """An element of a FieldSpec, stored by its integer encoding."""
-
-    __slots__ = ("field", "enc")
-
-    def __init__(self, field, enc):
-        self.field = field
-        self.enc = enc
-
-    @property
-    def coeffs(self):
-        p = self.field.p
-        e = self.enc
-        out = []
-        for _ in range(self.field.a):
-            out.append(e % p)
-            e //= p
-        return tuple(out)
-
-    @property
-    def encoding(self):
-        return self.enc
-
-    def _check(self, other):
-        if not isinstance(other, FqElem) or other.field != self.field:
-            raise FieldMismatch("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FqElem(self.field, self.field.add_enc(self.enc, other.enc))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FqElem(self.field, self.field.sub_enc(self.enc, other.enc))
-
-    def __neg__(self):
-        return FqElem(self.field, self.field.neg_enc(self.enc))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FqElem(self.field, self.field.mul_enc(self.enc, other.enc))
-
-    def __pow__(self, n):
-        return FqElem(self.field, self.field.pow_enc(self.enc, n))
-
-    def inverse(self):
-        return FqElem(self.field, self.field.inv_enc(self.enc))
-
-    def __eq__(self, other):
-        return (isinstance(other, FqElem) and other.field == self.field
-                and other.enc == self.enc)
-
-    def __hash__(self):
-        return hash((self.field, self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __repr__(self):
-        return "FqElem(%r, %d)" % (self.field, self.enc)
 
 
 def make_field(p, a=1, modulus=None):
@@ -353,56 +261,27 @@ def field_from_q(q):
     return make_field(pp[0], pp[1])
 
 
-# --- the spec's operation surface ---
+def embed(source, x, target):
+    """Image of the encoding x of source under the fixed embedding of
+    source into target, as an encoding of target.
 
-def add(x, y):
-    return x + y
-
-
-def sub(x, y):
-    return x - y
-
-
-def mul(x, y):
-    return x * y
-
-
-def inv(x):
-    return x.inverse()
-
-
-def frobenius(x, k=1):
-    """x^(p^k); frobenius(., a) is the identity."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return FqElem(x.field, x.field.frob_enc(x.enc, k))
-
-
-def element_order(x):
-    """Least n >= 1 with x^n = 1 (x nonzero)."""
-    return x.field.order_enc(x.enc)
-
-
-def embed(x, target):
-    """Image of x under the fixed embedding of its field into target.
-
-    The embedding sends the source generator (the class of the variable) to
-    the smallest-encoding root of the source modulus in the target; it is a
-    ring homomorphism, computed once per field pair and cached.
+    The embedding sends the class of source's variable to the
+    smallest-encoding root of source's modulus in target (computed once per
+    field pair and cached); x maps by Horner's rule on its base-p digits.
     """
-    source = x.field
     if source == target:
         return x
     if source.p != target.p or target.a % source.a != 0:
         raise NoEmbedding("no embedding GF(%d^%d) -> GF(%d^%d)"
                           % (source.p, source.a, target.p, target.a))
     if source.a == 1:
-        return FqElem(target, x.enc)
+        return x
     beta = _embedding_root(source, target)
+    p = source.p
     acc = 0
-    for c in reversed(x.coeffs):
-        acc = target.add_enc(target.mul_enc(acc, beta), c)
-    return FqElem(target, acc)
+    for i in reversed(range(source.a)):
+        acc = target.add_enc(target.mul_enc(acc, beta), x // p ** i % p)
+    return acc
 
 
 @functools.lru_cache(CACHE_CAP)

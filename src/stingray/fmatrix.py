@@ -96,9 +96,6 @@ class DenseMatrix:
     def transpose(self):
         return DenseMatrix(self.field, np.ascontiguousarray(self.arr.T))
 
-    def row(self, i):
-        return self.arr[i].copy()
-
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and other.field == self.field
                 and self.arr.shape == other.arr.shape
@@ -106,9 +103,6 @@ class DenseMatrix:
 
     def __hash__(self):
         return hash((self.field, self.arr.shape, self.arr.tobytes()))
-
-    def copy(self):
-        return DenseMatrix(self.field, self.arr.copy())
 
     def rref(self):
         R, piv, rank = _kernels.rref(self.field, self.arr)
@@ -209,24 +203,6 @@ def apply_row(v, g):
     return _kernels.matmul(g.field, vv, g.arr)[0]
 
 
-def solve_row(A, b):
-    """One row vector x with x A = b, or None when inconsistent."""
-    F = A.field
-    bb = np.asarray(b, dtype=np.int64).reshape(-1)
-    if bb.shape[0] != A.ncols:
-        raise DimensionMismatch("length of b must match columns of A")
-    aug = np.ascontiguousarray(np.hstack([A.arr.T, bb.reshape(-1, 1)]))
-    R, piv, rank = _kernels.rref(F, aug, limit=A.nrows)
-    x = np.zeros(A.nrows, dtype=np.int64)
-    for r in range(rank):
-        x[piv[r]] = R[r, -1]
-    # consistency: rows past the pivots must leave zero in the last column
-    for r in range(rank, R.shape[0]):
-        if R[r, -1]:
-            return None
-    return x
-
-
 class Subspace:
     """Row space in RREF; dimension-0 subspaces keep a (0, d) basis."""
 
@@ -248,10 +224,6 @@ class Subspace:
         R, piv, rank = _kernels.rref(field, arr)
         return cls(field, np.ascontiguousarray(R[:rank]), piv)
 
-    @classmethod
-    def full(cls, field, d):
-        return cls(field, identity(field, d).arr, list(range(d)))
-
     @property
     def dim(self):
         return self.basis.shape[0]
@@ -272,27 +244,10 @@ class Subspace:
             return None
         return C
 
-    def coordinates(self, v):
-        """Coefficients of v in the RREF basis, or None if v is outside."""
-        c = self._coords(np.asarray(v, dtype=np.int64).reshape(1, -1))
-        return None if c is None else c[0]
-
-    def contains_vector(self, v):
-        return self.coordinates(v) is not None
-
-    def contains(self, other):
-        return all(self.contains_vector(other.basis[i])
-                   for i in range(other.dim))
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
                 and self.basis.shape == other.basis.shape
                 and bool(np.array_equal(self.basis, other.basis)))
-
-    def sum(self, other):
-        stacked = np.vstack([self.basis, other.basis])
-        return Subspace.from_rows(self.field, stacked,
-                                  ambient_dim=self.ambient_dim)
 
     def is_invariant(self, g):
         images = _kernels.matmul(g.field, self.basis, g.arr)

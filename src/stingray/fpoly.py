@@ -203,13 +203,6 @@ def x_poly(field):
     return DensePoly(field, [0, 1])
 
 
-def from_roots(field, encs):
-    f = DensePoly(field, [1])
-    for r in encs:
-        f = f * DensePoly(field, [field.neg_enc(r), 1])
-    return f
-
-
 def gcd(f, g):
     """Monic greatest common divisor."""
     f._check(g)
@@ -416,32 +409,31 @@ def _random_poly(F, deg_bound, rng):
 
 
 def _equal_degree(f, d, rng):
-    """All monic irreducible factors of f, every one of degree d."""
+    """All monic irreducible factors of f, every one of degree d.
+
+    A random h of degree below deg f splits f by gcd(w, f), where w is
+    h^((q^d - 1)/2) - 1 for odd q and the trace sum h^(2^i), i < a*d,
+    for q = 2^a; both run on digit vectors in the ring of f.
+    """
     if f.degree == d:
         return [f]
     F = f.field
-    q = F.q
+    R = _ring(f)
     while True:
         h = _random_poly(F, f.degree, rng)
         if h.degree < 1:
             continue
-        if q % 2 == 1:
-            g = gcd(h, f)
-            if 0 < g.degree < f.degree:
-                pass
-            else:
-                w = powmod(h, (q ** d - 1) // 2, f)
-                g = gcd(w - constant(F, 1), f)
+        t = R.digits(h)
+        if F.q % 2 == 1:
+            w = R.pow(t, (F.q ** d - 1) // 2)
+            w[0] = (w[0] - 1) % F.p
         else:
-            # trace map sum h^(2^i), i < k*d, over GF(2^k); digits add
-            # mod 2
-            R = _ring(f)
-            t = R.digits(h % f)
-            acc = t
+            # digits add mod 2
+            w = t
             for _ in range(F.a * d - 1):
                 t = R.mul(t, t)
-                acc = acc ^ t
-            g = gcd(R.poly(acc), f)
+                w = w ^ t
+        g = gcd(R.poly(w), f)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 

@@ -26,7 +26,7 @@ from . import _kernels, ffield, fmatrix, fpoly
 from ._intmath import SplitMix64
 from .errors import (ActionTooLarge, BadTwist, CharTooSmallForSymcube,
                      DegreeTooSmall, DimensionMismatch, OddDimensionSymplectic,
-                     Singular, UnknownModuleSpec, ZeroVector)
+                     SingularGenerator, UnknownModuleSpec, ZeroVector)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -43,7 +43,8 @@ class MatrixGroup:
             if g.field != field or g.nrows != dim or g.ncols != dim:
                 raise DimensionMismatch("generator %d has the wrong shape" % i)
             if g.rank() != dim:
-                raise Singular("generator %d is singular" % i)
+                raise SingularGenerator("generator %d is singular" % i,
+                                        index=i)
         self.field = field
         self.dim = dim
         self.generators = tuple(generators)
@@ -716,7 +717,7 @@ class _StabChain:
         return None
 
 
-def group_order(grp, action=VECTORS, seed=DEFAULT_SEED):
+def group_order(grp, action=VECTORS):
     """Exact order of the group induced on vectors or on projective points.
 
     Each generator is turned into a permutation of the point set (see
@@ -725,10 +726,8 @@ def group_order(grp, action=VECTORS, seed=DEFAULT_SEED):
     Every Schreier generator at every level is verified to sift to the
     identity before the chain is trusted, so the order is exact.  Memory
     is O(q^d) per base point and per strong generator.  Raises
-    ActionTooLarge when q^d exceeds 2^24.
-
-    The seed is accepted for interface compatibility and ignored: the
-    computation is deterministic.
+    ActionTooLarge when q^d exceeds 2^24.  The computation is
+    deterministic.
     """
     F = grp.field
     d = grp.dim

@@ -23,16 +23,12 @@ elements, on the given seed.
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _manifest, classify, cyclo, ffield, fmatrix, fpoly, groups, ppd
 from ._intmath import is_prime, is_prime_power
-from .errors import (NoPpdPrime, NotPrime, ParseError, SingularGenerator,
-                     StingrayUsageError)
-
-SUITES = ("PERMMOD", "PSL2", "PROP122", "CHARACTERS", "PPDTABLE", "ALL")
+from .errors import NoPpdPrime, NotPrime, ParseError, StingrayUsageError
 
 
 def default_seed():
@@ -146,9 +142,6 @@ def parse_mgrp(path):
                              line=idx + 1)
         comments.append(rest)
         idx += 1
-    for i, m in enumerate(mats):
-        if m.rank() != dim:
-            raise SingularGenerator("generator %d is singular" % i, index=i)
     grp = groups.MatrixGroup(field, dim, mats)
     return MgrpFile(group=grp, comments=tuple(comments))
 
@@ -430,30 +423,28 @@ def _suite_ppdtable():
     return VerifyReport(suite="PPDTABLE", checks=tuple(checks))
 
 
+SUITES = {"PERMMOD": _suite_permmod, "PSL2": _suite_psl2,
+          "PROP122": _suite_prop122, "CHARACTERS": _suite_characters,
+          "PPDTABLE": _suite_ppdtable}
+
+
 def verify_suite(name, seed=None, atlas_dir=None):
-    """Run one named suite (or ALL) and return its VerifyReport."""
+    """Run one named suite (or ALL, every SUITES entry in order, or ATLAS)
+    and return its VerifyReport."""
     name = name.upper()
     if seed is None:
         seed = default_seed()
-    if name == "PERMMOD":
-        return _suite_permmod()
-    if name == "PSL2":
-        return _suite_psl2()
-    if name == "PROP122":
-        return _suite_prop122()
-    if name == "CHARACTERS":
-        return _suite_characters()
-    if name == "PPDTABLE":
-        return _suite_ppdtable()
+    if name in SUITES:
+        return SUITES[name]()
     if name == "ALL":
         checks = []
-        for sub in ("PERMMOD", "PSL2", "PROP122", "CHARACTERS", "PPDTABLE"):
+        for sub in SUITES:
             checks.extend(verify_suite(sub, seed=seed).checks)
         return VerifyReport(suite="ALL", checks=tuple(checks))
     if name == "ATLAS":
         return _suite_atlas(atlas_dir, seed)
     raise StingrayUsageError("unknown suite %r; expected one of %s"
-                             % (name, "|".join(SUITES)))
+                             % (name, "|".join([*SUITES, "ALL", "ATLAS"])))
 
 
 # --- optional user-supplied-files suite ---

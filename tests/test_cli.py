@@ -92,6 +92,25 @@ def test_construct_delperm_and_order(capsys, tmp_path):
     assert out.strip() == "2520"          # |A_7|
 
 
+def test_order_takes_no_seed(capsys, tmp_path, monkeypatch):
+    # the order is deterministic: a junk STINGRAY_SEED is never read, and
+    # an explicit --seed still parses
+    f = str(tmp_path / "a7.mgrp")
+    run(capsys, "construct", "delperm", "--n", "7", "--p", "2", "--out", f)
+    monkeypatch.setenv("STINGRAY_SEED", "junk")
+    for extra in ((), ("--seed", "5")):
+        code, out, err = run(capsys, "order", "--file", f, *extra)
+        assert (code, out.strip(), err) == (0, "2520", "")
+
+
+def test_singular_generator_exit_code(capsys, tmp_path):
+    f = tmp_path / "sing.mgrp"
+    f.write_text("MGRP v1\np 2\na 1\ndim 2\nngens 2\n1 0\n0 1\n1 1\n1 1\n")
+    code, out, err = run(capsys, "order", "--file", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: generator 1 is singular\n"
+
+
 def test_order_of_single_generator(capsys, tmp_path):
     f = str(tmp_path / "g.mgrp")
     harness.write_mgrp(groups.classical_generators("GL", 4, 2), f)

@@ -197,15 +197,6 @@ def test_block_diagonal_char_poly_is_product():
     assert fmatrix.char_poly(b) == (f * g).monic()
 
 
-def test_solve_row():
-    a = M(F5, [[1, 2], [3, 4]])
-    b = [4, 0]
-    x = fmatrix.solve_row(a, b)
-    assert list(fmatrix.apply_row(list(x), a)) == b
-    singular = M(F5, [[1, 2], [2, 4]])
-    assert fmatrix.solve_row(singular, [0, 1]) is None
-
-
 def test_apply_row_matches_product():
     rng = SplitMix64(4)
     for _ in range(20):
@@ -232,22 +223,11 @@ def test_subspace_dimension_formula():
                   for _ in range(rng.randrange(4) + 1)]
         u = fmatrix.Subspace.from_rows(F2, rows_u, 5)
         w = fmatrix.Subspace.from_rows(F2, rows_w, 5)
-        s = u.sum(w)
+        s = fmatrix.Subspace.from_rows(F2, rows_u + rows_w, 5)
         # U meets W in 2^dim(U n W) vectors, counted by enumeration
         meet = _span(u) & _span(w)
         assert s.dim + (len(meet).bit_length() - 1) == u.dim + w.dim
-        assert s.contains(u) and s.contains(w)
-
-
-def test_subspace_coordinates_and_membership():
-    u = fmatrix.Subspace.from_rows(F3, [[1, 0, 2], [0, 1, 1]], 3)
-    assert u.dim == 2
-    v = [1, 1, 0]                          # row0 + row1
-    assert u.contains_vector(v)
-    coords = u.coordinates(v)
-    assert list(coords) == [1, 1]
-    assert not u.contains_vector([0, 0, 1])
-    assert u.coordinates([0, 0, 1]) is None
+        assert _span(u) | _span(w) <= _span(s)
 
 
 def test_subspace_invariance():
@@ -267,8 +247,7 @@ def test_entries_beyond_int64_are_out_of_range():
 
 
 def test_full_and_identity_helpers():
-    full = fmatrix.Subspace.full(F2, 4)
-    assert full.dim == 4
+    assert fmatrix.image(fmatrix.identity(F2, 4)).dim == 4
     assert fmatrix.scalar_matrix(F3, 2, 2) == M(F3, [[2, 0], [0, 2]])
     assert fmatrix.diagonal(F3, [1, 2]) == M(F3, [[1, 0], [0, 2]])
     assert fmatrix.zeros(F3, 2).rank() == 0

@@ -311,8 +311,10 @@ def test_root_order_with_many_repeated_primes():
     assert len(set(orders)) >= 8
 
 
-def test_from_roots_and_roots_round_trip():
-    f = fpoly.from_roots(F5, [1, 2, 2, 4])
+def test_roots_of_product_of_linears():
+    f = fpoly.DensePoly(F5, [1])
+    for r in (1, 2, 2, 4):
+        f = f * fpoly.DensePoly(F5, [F5.neg_enc(r), 1])
     assert sorted(fpoly.roots(f)) == [1, 2, 4]
     assert f.degree == 4
     for enc in (1, 2, 4):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stingray import _manifest, classify, ffield, groups, harness
-from stingray.errors import (NotPrime, ParseError, ReducibleModulus,
+from stingray import _manifest, classify, ffield, fmatrix, groups, harness
+from stingray.errors import (NotPrime, ParseError, ReducibleModulus, Singular,
                              SingularGenerator, StingrayError,
                              StingrayUsageError)
 
@@ -95,6 +95,19 @@ def test_parse_singular_generator_index(tmp_path):
     with pytest.raises(SingularGenerator) as e:
         harness.parse_mgrp(p)
     assert e.value.index == 1
+    assert isinstance(e.value, Singular)
+    assert str(e.value) == "generator 1 is singular"
+
+
+def test_parse_ranks_each_generator_once(tmp_path, monkeypatch):
+    p = str(tmp_path / "two.mgrp")
+    _write(p, "MGRP v1\np 2\na 1\ndim 2\nngens 2\n1 1\n0 1\n0 1\n1 0\n")
+    calls = []
+    rank = fmatrix.DenseMatrix.rank
+    monkeypatch.setattr(fmatrix.DenseMatrix, "rank",
+                        lambda m: calls.append(m) or rank(m))
+    assert len(harness.parse_mgrp(p).group.generators) == 2
+    assert len(calls) == 2
 
 
 def test_parse_reducible_modulus(tmp_path):
@@ -278,8 +291,10 @@ def test_psl2_suite_draws_nothing(monkeypatch):
 
 
 def test_unknown_suite():
-    with pytest.raises(StingrayUsageError):
+    with pytest.raises(StingrayUsageError) as e:
         harness.verify_suite("BOGUS")
+    assert str(e.value) == ("unknown suite 'BOGUS'; expected one of "
+                            "PERMMOD|PSL2|PROP122|CHARACTERS|PPDTABLE|ALL|ATLAS")
 
 
 def test_sample_stingray_gl42():

@@ -99,13 +99,12 @@ def test_randrange_rejects_nonpositive():
         SplitMix64(1).randrange(0)
 
 
-def test_randint_choice_shuffle():
+def test_randint_and_shuffle():
     rng = SplitMix64(5)
     for _ in range(200):
         x = rng.randint(3, 9)
         assert 3 <= x <= 9
     seq = list(range(12))
-    assert rng.choice(seq) in seq
     shuffled = list(seq)
     rng.shuffle(shuffled)
     assert sorted(shuffled) == seq
