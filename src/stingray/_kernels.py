@@ -24,14 +24,13 @@ which broadcast their operands and make no copies of them:
              odd extension: digit i of the sum is the sum of the digits i
              of the products, mod p
 
-ring_mul is the one product of a quotient ring GF(p^a)[t]/(f), deg f = k,
-on base-p digit vectors: digit s of coefficient i at index a*i + s, then a
-trailing 0.  The digit polynomial product is one gather of y's digits by
-shift_index(a, k) and one _dot_mod; its reduction is a second _dot_mod by
-a table whose row (2a-1)*I + S holds the digits of alpha^S t^I mod f
-(alpha the class of the variable of GF(p^a)).  Its two callers are mul
-above (a = 1, f the field's modulus; FieldSpec._shift/_red) and
-fpoly.powmod (fpoly.QuotientRing).
+ring_mul is mul's product above the table cap: GF(p^a) is the quotient
+ring GF(p)[t]/(modulus), deg modulus = a, and an element is its vector of
+a base-p digits, then a trailing 0.  The digit polynomial product is one
+gather of y's digits by shift_index(a) and one _dot_mod; its reduction is
+a second _dot_mod by the table FieldSpec._red, whose row I holds the
+digits of t^I mod the modulus.  Quotient rings over GF(q) in general are
+fpoly.QuotientRing, on packed integers.
 
 _dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul,
 the prime-field dot and ring_mul all sum through it.  Negation is
@@ -108,26 +107,23 @@ def dot(F, A, x):
 
 
 @lru_cache(maxsize=16)
-def shift_index(a, k):
-    """Gather index of ring_mul over GF(p^a)[t]/(f), deg f = k.
+def shift_index(k):
+    """Gather index of ring_mul over GF(p)[t]/(f), deg f = k.
 
-    Entry (a*i + s, (2a-1)*I + S) is the index of the digit (I - i, S - s)
-    of y that digit (i, s) of x meets in the term alpha^S t^I, or a*k (y's
-    trailing 0) where there is none.  Shared and read-only.
+    Entry (i, I) is the index I - i of the coefficient of y that
+    coefficient i of x meets in the term t^I, or k (y's trailing 0) where
+    there is none.  Shared and read-only.
     """
-    i, s = np.divmod(np.arange(a * k), a)
-    big_i, big_s = np.divmod(np.arange((2 * k - 1) * (2 * a - 1)), 2 * a - 1)
-    di = big_i - i[:, None]
-    ds = big_s - s[:, None]
-    shift = np.where((di >= 0) & (di < k) & (ds >= 0) & (ds < a),
-                     a * di + ds, a * k)
+    d = np.arange(2 * k - 1) - np.arange(k)[:, None]
+    shift = np.where((d >= 0) & (d < k), d, k)
     shift.flags.writeable = False
     return shift
 
 
 def ring_mul(p, shift, red, x, y):
-    """Product of broadcastable digit arrays (..., n+1), last digit 0, in
-    the quotient ring with gather index `shift` and reduction table `red`."""
+    """Product of broadcastable coefficient arrays (..., k+1), last entry
+    0, in GF(p)[t]/(f) with gather index `shift` and reduction table
+    `red`, whose row I holds the coefficients of t^I mod f."""
     c = _dot_mod(x[..., None, :-1], y[..., shift], p)[..., 0, :]
     return _dot_mod(c, red, p)
 

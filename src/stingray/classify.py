@@ -29,14 +29,14 @@ TYPE_2II = "TYPE_2II"
 PPD_GENERAL = "PPD_GENERAL"
 NOT_PPD = "NOT_PPD"
 
-# construct_stingray factors (t^r - 1)/(t - 1), of degree r - 1, into
-# (r - 1)/e factors of degree e.  Few large factors cost the most; single
-# runs of fpoly.factor on a 2-vCPU VM: 0.32 s at r = 199 over GF(2)
-# (e = 99), 1.4 s at r = 251 over GF(3) (e = 125), 3.7 s at r = 409 over
-# GF(2) (e = 204) and 28 s at r = 503 over GF(2) (e = 251).  The
-# distinct-degree split takes 0.24, 0.63, 2.7 and 4.8 s of these, and the
-# equal-degree split most of the rest, so r = 503 breaks the 20 s rule.
-MAX_CONSTRUCT_R = 256
+# construct_stingray factors (t^r - 1)/(t - 1) into (r - 1)/e factors of
+# degree e; few large factors over GF(2^a), a >= 5, or GF(p^a), p odd,
+# a >= 2, cost the most.  Single runs of fpoly.factor on a 2-vCPU VM, for
+# every prime r from 257 to 439 over each GF(q), q <= 64, a >= 2, and for
+# r = 401 over every q <= 64: at most 9.9 s (r = 383 over GF(64), e = 191;
+# 9.2 s at r = 433 over GF(25)).  GF(2) at r = 503 takes 1.4 s, but r = 443
+# over GF(64) (e = 221) takes 34 s, which breaks the 20 s rule.
+MAX_CONSTRUCT_R = 439
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def _cmd_sample_stingray(args):
 
 
 def _cmd_verify(args):
-    report = harness.verify_suite(args.suite, seed=_seed(args),
+    report = harness.verify_suite(args.suite, seed=args.seed,
                                   atlas_dir=args.atlas_dir)
     print(report.render())
     return EXIT_OK if report.passed else EXIT_FAIL

@@ -15,10 +15,9 @@ TABLE_CAP = 2^20 get exp/log tables, built once per field.  exp holds
 g^i for 0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is
 the sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
 encodings, zero included, with no test (array or scalar alike).  Every
-product above the cap, scalar or array, is _kernels.ring_mul on base-p
-digits in fpoly.QuotientRing of the modulus over GF(p), whose gather
-index and reduction table the field keeps (FieldSpec._shift, _red); the
-exp tables themselves are filled by doubling through that same product.
+product above the cap is _kernels.ring_mul on base-p digits by the
+field's _shift = shift_index(a) and _red, the rows t^I mod modulus, I <
+2a - 1; the exp tables themselves are filled by doubling through it.
 
 Field construction goes through fpoly over the prime field: the modulus,
 when not supplied, is the lexicographically smallest monic irreducible of
@@ -71,12 +70,15 @@ class FieldSpec:
         self._exp = self._log = None
         if a > 1:
             # what _kernels.mul needs without tables: the powers p^0..p^a
-            # (digit a of an encoding is 0), and the gather index and
-            # reduction table of GF(p)[t]/(modulus)
+            # (digit a of an encoding is 0), and the gather index and the
+            # rows t^I mod modulus, I < 2a - 1, of GF(p)[t]/(modulus)
             dt = np.int64 if self.q < 1 << 62 else object
             self._pw = np.array([p ** i for i in range(a + 1)], dtype=dt)
-            ring = fpoly.QuotientRing(fpoly.DensePoly(make_field(p), modulus))
-            self._shift, self._red = ring.shift, ring.red
+            m = fpoly.DensePoly(make_field(p), modulus)
+            t = fpoly.x_poly(m.field)
+            self._red = np.array([((t ** i % m).coeffs + [0] * a)[:a + 1]
+                                  for i in range(2 * a - 1)], dtype=np.int64)
+            self._shift = _kernels.shift_index(a)
             if self.q <= TABLE_CAP:
                 self._exp, self._log = self._build_tables()
 

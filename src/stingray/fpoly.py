@@ -10,11 +10,9 @@ ascending coefficient tuple) to make the output canonical.
 
 DensePoly arithmetic (sum, product, division, gcd) is scalar, one
 FieldSpec call per coefficient pair.  Powers modulo a polynomial are not:
-powmod works in QuotientRing, GF(q)[t]/(f) on base-p digit vectors, whose
-product is _kernels.ring_mul (Lidl-Niederreiter, Finite Fields, ch. 2).
-The ring's tables are built with array operations and kept by _ring, a
-one-entry lru_cache, while consecutive calls share a modulus (the
-root-order descent, the distinct- and equal-degree steps).
+powmod works in QuotientRing, GF(q)[t]/(f) on packed integers, one big-int
+multiply and Barrett's reduction per product; each caller builds its own
+ring, once per modulus.
 The distinct-degree split keeps the scalar gcds few: its Frobenius steps
 run in the ring of the squarefree part, and it makes one gcd per block of
 about sqrt(n/2) steps against the product of the block's t^(q^i) - t
@@ -24,8 +22,8 @@ is_irreducible is Ben-Or's test: the first part the distinct-degree split
 yields is f itself exactly when f is irreducible.
 The order of t modulo an irreducible f of degree k (Celler-Leedham-Green,
 1997) is the product-tree descent _intmath.factorization_order_descend
-over the factored q^k - 1, run on the ring's digit vectors with
-QuotientRing.pow and compared with the digits of 1; for k = 1 it is
+over the factored q^k - 1, run on the ring's packed elements with
+QuotientRing.pow and compared with 1; for k = 1 it is
 FieldSpec.order_enc of the root.  factor_cached and _root_order (behind
 root_order_in_quotient) are lru_caches of _intmath.CACHE_CAP entries each,
 keyed on the DensePoly, whose equality and hash are its field and
@@ -38,7 +36,7 @@ import operator
 
 import numpy as np
 
-from . import _kernels, ppd
+from . import ppd
 from ._intmath import (CACHE_CAP, SplitMix64, factorization_order_descend,
                        power)
 from .errors import (CharacteristicDividesR, DivisionByZero, FieldMismatch,
@@ -220,76 +218,112 @@ def lcm(f, g):
 
 
 class QuotientRing:
-    """GF(q)[t]/(f), f monic of degree k >= 1, q = p^a, on digit vectors.
+    """GF(q)[t]/(f), f monic of degree k >= 1, q = p^a, on packed integers.
 
-    An element is an int64 vector of the a*k base-p digits of its k
-    coefficients, digit s of coefficient i at index a*i + s, then a
-    trailing 0; mul is _kernels.ring_mul with shift_index(a, k) and `red`,
-    whose row (2a-1)*I + S holds the digits of alpha^S t^I mod f.
-    FieldSpec uses the ring over GF(p) of its own modulus for its products
-    above the table cap.
+    An element is one int, digit s of coefficient i in bit lane (2a-1)*i + s
+    (Kronecker substitution; Harvey, JSC 44, 2009), so a product of two
+    coefficients, of degree <= 2a-2 in alpha, stays in its lanes.  _fold
+    folds lanes s >= a by the field's modulus, _mod takes lanes mod p.
+    Reduction mod f is Barrett's (von zur Gathen-Gerhard, Modern Computer
+    Algebra, 9.1): c's quotient is floor(floor(c/t^k) mu / t^(k-2)),
+    mu = floor(t^(2k-2)/f) found once by Newton iteration.
     """
 
-    __slots__ = ("field", "modulus", "k", "shift", "red")
+    __slots__ = ("field", "k", "b", "w", "eager", "ones", "folds", "negm",
+                 "pad", "low", "mu", "negf")
 
     def __init__(self, f):
-        F = f.field
-        p, a, k = F.p, F.a, f.degree
-        self.field = F
-        self.modulus = f.coeffs
-        self.k = k
-        self.shift = _kernels.shift_index(a, k)
-        # T[I] = t^I mod f, I < 2k - 1, as k coefficient encodings
-        dt = np.int64 if F.q < 1 << 62 else object
-        T = np.zeros((2 * k - 1, k), dtype=dt)
-        T[np.arange(k), np.arange(k)] = 1
-        if k > 1:
-            neg = _kernels.sub(F, 0, np.array(f.coeffs[:k], dtype=dt))
-            T[k] = neg
-            for i in range(k + 1, 2 * k - 1):
-                T[i, 1:] = T[i - 1, :-1]
-                T[i] = _kernels.add(F, T[i], _kernels.mul(F, T[i - 1, -1], neg))
-        if a > 1:
-            # alpha^S for S < 2a - 1, then digits of alpha^S T[I]
-            alpha = F._red @ F._pw
-            T = _kernels.mul(F, T[:, None, :], alpha[:, None])
-            T = (T[..., None] // F._pw[:-1] % p).astype(np.int64)
-        self.red = np.zeros(((2 * k - 1) * (2 * a - 1), a * k + 1),
-                            dtype=np.int64)
-        self.red[:, :-1] = T.reshape(self.red.shape[0], a * k)
+        F, k = self.field, self.k = f.field, f.degree
+        p, a = F.p, F.a
+        # b holds the largest lane value; a fold multiplies one by <= p
+        g, terms = p ** (a - 1), k * a * (p - 1)
+        c = terms * (p - 1)
+        width = lambda v: (max(8, 1 << (v.bit_length() - 1).bit_length())
+                           if v < 1 << 64 else -(-v.bit_length() // 8) * 8)
+        b = (2 * c).bit_length() if p == 2 else width(
+            (c + terms ** 2 * c * g * g) * g)
+        # eager rings add two numpy passes per product for odd p (five if
+        # a > 1); measured, lazy ones are faster up to 1024 (2560) bits
+        self.eager = p == 2 or k * (2 * a - 1) * b > (2560 if a > 1 else 1024)
+        if self.eager and p > 2:
+            b = width(max(2 * c, g * p))
+        self.b, self.w = b, (2 * a - 1) * b
+        every = sum(1 << self.w * i for i in range(2 * k - 1))
+        self.ones = every * sum(1 << b * s for s in range(2 * a - 1))
+        self.folds = [every * ((1 << b) - 1) << b * s
+                      for s in range(2 * a - 2, a - 1, -1)]
+        self.negm = sum(-m % p << b * j
+                        for j, m in enumerate((F.modulus or ())[:a]))
+        self.low = (1 << k * self.w) - 1
+        self.pad = (every & self.low) * sum(p << b * s for s in range(a))
+        self.negf = self.digits(-DensePoly(F, f.coeffs[:k]))
+        # mu is h = rev(f)^-1 mod t^(k-1) reversed, rev(f) = t^k f(1/t):
+        # where h is right mod t^n, so is h - h(rev(f) h - 1) mod t^2n
+        rev = self.digits(DensePoly(F, f.coeffs[:0:-1][:k - 1]))
+        h, n = 1, 1
+        while n < k - 1:
+            cut = (1 << (min(2 * n, k - 1) - n) * self.w) - 1
+            e = self._reduce(rev * h) >> n * self.w & cut
+            h += (self._reduce(h * self.sub(0, e)) & cut) << n * self.w
+            n *= 2
+        h = self.poly(h | 1 << (k - 1) * self.w).coeffs     # k coefficients
+        self.mu = self.digits(DensePoly(F, h[-2::-1]))
+
+    def _fold(self, x):
+        """Fold lanes s >= a into lanes below a (p = 2: lanes mod 2 too)."""
+        for m in self.folds:
+            if self.field.p == 2:
+                x &= self.ones
+            hi = x & m
+            x += (hi >> self.field.a * self.b) * self.negm - hi
+        return x
+
+    def _reduce(self, x):
+        """Fold lanes s >= a, take lanes mod p (eager: before the fold too)."""
+        if self.folds:
+            x = self._fold(self._mod(x) if self.eager else x)
+        return x & self.ones if self.field.p == 2 else self._mod(x)
+
+    def _mod(self, x):
+        p, w = self.field.p, self.b // 8
+        if p == 2:
+            return x & self.ones
+        n = -(-x.bit_length() // self.b) * w
+        buf = x.to_bytes(n, "little")
+        if w <= 8:
+            buf = (np.frombuffer(buf, "<u%d" % w) % p).tobytes()
+        else:
+            buf = b"".join((int.from_bytes(buf[i:i + w], "little") % p)
+                           .to_bytes(w, "little") for i in range(0, n, w))
+        return int.from_bytes(buf, "little")
 
     def digits(self, g):
-        """Digit vector of g, of degree < k."""
-        F = self.field
-        x = np.zeros(F.a * self.k + 1, dtype=np.int64)
-        if F.a == 1:
-            x[:len(g.coeffs)] = g.coeffs
-        else:
-            x[:F.a * len(g.coeffs)] = (np.array(g.coeffs, dtype=F._pw.dtype)
-                                       [:, None] // F._pw[:-1] % F.p).ravel()
+        """The element g, of degree < k."""
+        F, x = self.field, 0
+        for c in reversed(g.coeffs):
+            x = x << self.w | sum(c // F.p ** s % F.p << s * self.b
+                                  for s in range(F.a))
         return x
 
     def poly(self, x):
-        """The DensePoly of degree < k with digit vector x."""
-        F = self.field
-        if F.a == 1:
-            return DensePoly(F, x[:-1].tolist())
-        return DensePoly(F, (x[:-1].reshape(self.k, F.a) @ F._pw[:-1]).tolist())
+        """The DensePoly of degree < k of the element x."""
+        F, lane = self.field, (1 << self.b) - 1
+        return DensePoly(F, [sum((x >> i * self.w + s * self.b & lane)
+                                 * F.p ** s for s in range(F.a))
+                             for i in range(self.k)])
+
+    def sub(self, x, y):
+        return self._reduce(x + self.pad - y)
 
     def mul(self, x, y):
-        return _kernels.ring_mul(self.field.p, self.shift, self.red, x, y)
+        c, w = x * y, self.w
+        cut = self._reduce if self.eager else self._fold
+        q = cut(cut(c >> self.k * w) * self.mu >> max(self.k - 2, 0) * w)
+        return self._reduce((c & self.low) + (q * self.negf & self.low))
 
     def pow(self, x, e):
         """x^e; e >= 0 may be big."""
-        one = np.zeros_like(x)
-        one[0] = 1
-        return power(x, e, self.mul, one)
-
-
-@functools.lru_cache(maxsize=1)
-def _ring(f):
-    """QuotientRing of monic f; rebuilt only when the modulus changes."""
-    return QuotientRing(f)
+        return power(x, e, self.mul, 1)
 
 
 def powmod(f, e, mod):
@@ -305,7 +339,7 @@ def powmod(f, e, mod):
     mod = mod.monic()
     if f.degree >= mod.degree:
         f = f % mod
-    R = _ring(mod)
+    R = QuotientRing(mod)
     return R.poly(R.pow(R.digits(f), e))
 
 
@@ -365,7 +399,7 @@ def _distinct_degree(f):
 
     Interval products (von zur Gathen-Shoup, "Computing Frobenius maps and
     factoring polynomials", Comput. Complexity 2, 1992): in the ring of f,
-    built once, the Frobenius steps h_i = t^(q^i) run on digit vectors in
+    built once, the Frobenius steps h_i = t^(q^i) run on packed elements in
     blocks of isqrt(n/2) steps, n = deg f, and one gcd of rest with the
     block's product of the h_i - t finds every factor of degree in the
     block.  Only a nontrivial gcd g is split further, one gcd per step in
@@ -377,7 +411,7 @@ def _distinct_degree(f):
     rest, d = f, 0
     if f.degree > 1:
         F = f.field
-        R = _ring(f)
+        R = QuotientRing(f)
         x = R.digits(x_poly(F))
         h = x
         block = math.isqrt(f.degree // 2)
@@ -385,7 +419,7 @@ def _distinct_degree(f):
             hs = []
             for _ in range(min(block, rest.degree // 2 - d)):
                 h = R.pow(h, F.q)
-                hs.append((h - x) % F.p)
+                hs.append(R.sub(h, x))
             g = gcd(R.poly(functools.reduce(R.mul, hs)), rest)
             if g.degree > 0:
                 rest = rest // g
@@ -413,22 +447,21 @@ def _equal_degree(f, d, rng):
 
     A random h of degree below deg f splits f by gcd(w, f), where w is
     h^((q^d - 1)/2) - 1 for odd q and the trace sum h^(2^i), i < a*d,
-    for q = 2^a; both run on digit vectors in the ring of f.
+    for q = 2^a; both run on packed elements in the ring of f.
     """
     if f.degree == d:
         return [f]
     F = f.field
-    R = _ring(f)
+    R = QuotientRing(f)
     while True:
         h = _random_poly(F, f.degree, rng)
         if h.degree < 1:
             continue
         t = R.digits(h)
         if F.q % 2 == 1:
-            w = R.pow(t, (F.q ** d - 1) // 2)
-            w[0] = (w[0] - 1) % F.p
+            w = R.sub(R.pow(t, (F.q ** d - 1) // 2), 1)
         else:
-            # digits add mod 2
+            # digit lanes add mod 2
             w = t
             for _ in range(F.a * d - 1):
                 t = R.mul(t, t)
@@ -522,7 +555,6 @@ def _root_order(f):
     if f.degree == 1:
         return F.order_enc(F.neg_enc(f.coeffs[0]))
     fac = ppd.factor_qe_minus_one(F.q, f.degree)[0]
-    R = _ring(f)
-    one = R.digits(constant(F, 1))
+    R = QuotientRing(f)
     return factorization_order_descend(
-        R.digits(x_poly(F)), fac, R.pow, lambda y: np.array_equal(y, one))
+        R.digits(x_poly(F)), fac, R.pow, lambda y: y == 1)

@@ -244,6 +244,14 @@ def test_construct_stingray_canonical_cases():
         assert cls.fixed_dim == d // 2
 
 
+def test_construct_stingray_at_r_257():
+    # 257 is the smallest ppd prime of 2^16 - 1 = 4^8 - 1 = 16^4 - 1
+    for q, d in ((2, 32), (4, 16), (16, 8)):
+        g = classify.construct_stingray(q, d)
+        assert classify.is_stingray_oracle(g, d // 2), (q, d)
+        assert fmatrix.matrix_order(g) == 257
+
+
 def test_construct_stingray_det_one():
     for d, q in ((8, 3), (10, 3), (4, 5)):
         g = classify.construct_stingray(q, d, det_one=True)

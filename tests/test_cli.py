@@ -208,6 +208,25 @@ def test_verify_fail_exit_code(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_reads_the_seed_only_for_atlas(capsys, tmp_path, monkeypatch):
+    # the five fixed suites draw nothing at random, so a junk
+    # STINGRAY_SEED does not stop them; ATLAS draws and still refuses it
+    monkeypatch.setenv("STINGRAY_SEED", "junk")
+    for argv in (("--suite", "PPDTABLE"), ("--suite", "ALL"),
+                 ("--suite", "PPDTABLE", "--seed", "5")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, ""), argv
+        assert " PASS " in out.splitlines()[-1]
+    d = tmp_path / "atlas"
+    d.mkdir()
+    harness.write_mgrp(harness.MgrpFile(
+        group=groups.classical_generators("GL", 2, 2),
+        comments=("# expect: order=6",)), d / "g.mgrp")
+    code, _, err = run(capsys, "verify", "--suite", "ATLAS",
+                       "--atlas-dir", str(d))
+    assert code == 64 and "STINGRAY_SEED" in err
+
+
 def test_internal_error_is_one_line(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("kernel\nexploded")

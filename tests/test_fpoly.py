@@ -163,6 +163,47 @@ def test_powmod_modulo_a_unit_or_zero():
         fpoly.powmod(f, 5, P(F3))
 
 
+# packed products: p = 2 with a = 1 and a > 1, odd p with a = 1 and a > 1,
+# and lanes above 64 bits (p near 2^31)
+PACKED_FIELDS = [F2, F3, F4, ffield.make_field(3, 2), ffield.make_field(2, 6),
+                 ffield.make_field(251), ffield.make_field(2147483629),
+                 ffield.make_field(2147483629, 2)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 16, 48, 256])
+@pytest.mark.parametrize("F", PACKED_FIELDS, ids=repr)
+def test_quotient_ring_product_matches_schoolbook(F, k):
+    rng = SplitMix64(F.q * 1000 + k)
+    mod = _random_poly(F, rng, k).monic()
+    if (PACKED_FIELDS.index(F) + k) % 2:
+        mod = mod - fpoly.constant(F, mod.coeffs[0])      # f(0) = 0
+    R = fpoly.QuotientRing(mod)
+    g, h = (_random_poly(F, rng, k - 1) for _ in range(2))
+    x, y = R.digits(g), R.digits(h)
+    assert R.poly(x) == g and R.poly(y) == h
+    assert R.poly(R.mul(x, y)) == g * h % mod, (F, mod)
+    assert R.mul(x, R.digits(fpoly.DensePoly(F, []))) == 0
+    assert R.mul(x, 1) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_ring_pow_matches_naive(data):
+    F = data.draw(st.sampled_from(PACKED_FIELDS), label="field")
+    k = data.draw(st.sampled_from([1, 2, 3, 16]), label="k")
+    coeff = st.integers(0, F.q - 1)
+    mod = fpoly.DensePoly(F, data.draw(st.lists(coeff, min_size=k,
+                                                max_size=k)) + [1])
+    g = fpoly.DensePoly(F, data.draw(st.lists(coeff, max_size=k)))
+    e = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 1 << 80)),
+                  label="e")
+    R = fpoly.QuotientRing(mod)
+    x = R.pow(R.digits(g), e)
+    assert R.poly(x) == _naive_powmod(g, e, mod)
+    assert R.digits(R.poly(x)) == x
+    assert (x == 1) == (R.poly(x) == fpoly.constant(F, 1))
+
+
 def test_is_irreducible_builds_one_quotient_ring(monkeypatch):
     built = []
 
@@ -176,7 +217,6 @@ def test_is_irreducible_builds_one_quotient_ring(monkeypatch):
     rng = SplitMix64(11)
     for F, n in ((F2, 8), (F3, 6), (F4, 5), (F9, 4), (F2, 12)):
         for _ in range(3):
-            fpoly._ring.cache_clear()
             f = _random_poly(F, rng, n).monic()
             built.clear()
             fpoly.is_irreducible(f)

@@ -46,7 +46,7 @@ def test_every_memo_is_an_lru_cache():
     memos = {fpoly.factor_cached: cap, fpoly._root_order: cap,
              ppd._factor_phi: cap, FieldSpec.q1_factors: cap,
              FieldSpec.generator_enc: cap, ffield._embedding_root: cap,
-             fpoly._ring: 1, _kernels.shift_index: 16,
+             _kernels.shift_index: 16,
              ffield._field: None, _intmath._primorial_segments: None}
     for memo, maxsize in memos.items():
         assert memo.cache_info().maxsize == maxsize, memo
