@@ -30,12 +30,12 @@ PPD_GENERAL = "PPD_GENERAL"
 NOT_PPD = "NOT_PPD"
 
 # construct_stingray factors (t^r - 1)/(t - 1) into (r - 1)/e factors of
-# degree e; few large factors over GF(2^a), a >= 5, or GF(p^a), p odd,
-# a >= 2, cost the most.  Single runs of fpoly.factor on a 2-vCPU VM, for
-# every prime r from 257 to 439 over each GF(q), q <= 64, a >= 2, and for
-# r = 401 over every q <= 64: at most 9.9 s (r = 383 over GF(64), e = 191;
-# 9.2 s at r = 433 over GF(25)).  GF(2) at r = 503 takes 1.4 s, but r = 443
-# over GF(64) (e = 221) takes 34 s, which breaks the 20 s rule.
+# degree e; few large factors over GF(p^a), a >= 2, cost the most.  Single
+# runs of fpoly.factor on a 2-vCPU VM, two at a time, for every prime r
+# from 257 to 491 over every GF(q), q <= 64: at or below 439 at most 12.4 s
+# (r = 433 over GF(25), e = 216; 11.4 s at r = 419 over GF(27)), and at
+# most 4.4 s over the prime fields GF(3) to GF(61) (r = 419 over GF(43)).
+# r = 443 over GF(64) (e = 221) takes 27-29 s run alone: over the 20 s rule.
 MAX_CONSTRUCT_R = 439
 
 

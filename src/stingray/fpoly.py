@@ -34,8 +34,6 @@ import functools
 import math
 import operator
 
-import numpy as np
-
 from . import ppd
 from ._intmath import (CACHE_CAP, SplitMix64, factorization_order_descend,
                        power)
@@ -229,29 +227,31 @@ class QuotientRing:
     mu = floor(t^(2k-2)/f) found once by Newton iteration.
     """
 
-    __slots__ = ("field", "k", "b", "w", "eager", "ones", "folds", "negm",
-                 "pad", "low", "mu", "negf")
+    __slots__ = ("field", "k", "b", "w", "ones", "folds", "s", "m", "even",
+                 "quot", "negm", "pad", "low", "mu", "negf")
 
     def __init__(self, f):
         F, k = self.field, self.k = f.field, f.degree
         p, a = F.p, F.a
-        # b holds the largest lane value; a fold multiplies one by <= p
-        g, terms = p ** (a - 1), k * a * (p - 1)
-        c = terms * (p - 1)
-        width = lambda v: (max(8, 1 << (v.bit_length() - 1).bit_length())
-                           if v < 1 << 64 else -(-v.bit_length() // 8) * 8)
-        b = (2 * c).bit_length() if p == 2 else width(
-            (c + terms ** 2 * c * g * g) * g)
-        # eager rings add two numpy passes per product for odd p (five if
-        # a > 1); measured, lazy ones are faster up to 1024 (2560) bits
-        self.eager = p == 2 or k * (2 * a - 1) * b > (2560 if a > 1 else 1024)
-        if self.eager and p > 2:
-            b = width(max(2 * c, g * p))
+        # b holds the largest lane value: a remainder's lanes are at most 2c
+        # and its fold takes them to at most 2c p^(a-1) (p = 2: 2c, as lanes
+        # go mod 2 before each fold step); odd p spares _mod a bit
+        c = k * a * (p - 1) ** 2
+        b = (2 * c).bit_length() if p == 2 else (
+            (2 * c * p ** (a - 1)).bit_length() + 1)
         self.b, self.w = b, (2 * a - 1) * b
         every = sum(1 << self.w * i for i in range(2 * k - 1))
         self.ones = every * sum(1 << b * s for s in range(2 * a - 1))
         self.folds = [every * ((1 << b) - 1) << b * s
                       for s in range(2 * a - 2, a - 1, -1)]
+        # _mod: even lanes and odd ones apart, each in a 2b-bit slot, take
+        # v - p floor(v m / 2^s) with m = ceil(2^s / p) and 2^s > 2^(b-1) p
+        # (Granlund-Montgomery, PLDI 1994), exact for v < 2^(b-1)
+        self.s = b - 1 + p.bit_length()
+        self.m = -(-(1 << self.s) // p)
+        slots = sum(1 << 2 * b * i for i in range((2 * k - 1) * a))
+        self.even = slots * ((1 << b) - 1)
+        self.quot = slots * ((1 << 2 * b - self.s) - 1)
         self.negm = sum(-m % p << b * j
                         for j, m in enumerate((F.modulus or ())[:a]))
         self.low = (1 << k * self.w) - 1
@@ -279,23 +279,17 @@ class QuotientRing:
         return x
 
     def _reduce(self, x):
-        """Fold lanes s >= a, take lanes mod p (eager: before the fold too)."""
-        if self.folds:
-            x = self._fold(self._mod(x) if self.eager else x)
-        return x & self.ones if self.field.p == 2 else self._mod(x)
+        """Fold lanes s >= a by the field's modulus, take lanes mod p."""
+        return self._mod(self._fold(x) if self.folds else x)
 
     def _mod(self, x):
-        p, w = self.field.p, self.b // 8
-        if p == 2:
+        if self.field.p == 2:
             return x & self.ones
-        n = -(-x.bit_length() // self.b) * w
-        buf = x.to_bytes(n, "little")
-        if w <= 8:
-            buf = (np.frombuffer(buf, "<u%d" % w) % p).tobytes()
-        else:
-            buf = b"".join((int.from_bytes(buf[i:i + w], "little") % p)
-                           .to_bytes(w, "little") for i in range(0, n, w))
-        return int.from_bytes(buf, "little")
+        p, m, s, q = self.field.p, self.m, self.s, self.quot
+        e, o = x & self.even, x >> self.b & self.even
+        e -= (e * m >> s & q) * p
+        o -= (o * m >> s & q) * p
+        return e | o << self.b
 
     def digits(self, g):
         """The element g, of degree < k."""
@@ -316,10 +310,9 @@ class QuotientRing:
         return self._reduce(x + self.pad - y)
 
     def mul(self, x, y):
-        c, w = x * y, self.w
-        cut = self._reduce if self.eager else self._fold
-        q = cut(cut(c >> self.k * w) * self.mu >> max(self.k - 2, 0) * w)
-        return self._reduce((c & self.low) + (q * self.negf & self.low))
+        c, w, red = x * y, self.w, self._reduce
+        q = red(red(c >> self.k * w) * self.mu >> max(self.k - 2, 0) * w)
+        return red((c & self.low) + (q * self.negf & self.low))
 
     def pow(self, x, e):
         """x^e; e >= 0 may be big."""

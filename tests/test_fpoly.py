@@ -184,6 +184,26 @@ def test_quotient_ring_product_matches_schoolbook(F, k):
     assert R.poly(R.mul(x, y)) == g * h % mod, (F, mod)
     assert R.mul(x, R.digits(fpoly.DensePoly(F, []))) == 0
     assert R.mul(x, 1) == x
+    # every digit p - 1 in both factors and in -f: the largest lane values
+    top = fpoly.DensePoly(F, [F.q - 1] * k)
+    mod = fpoly.DensePoly(F, [(F.q - 1) // (F.p - 1)] * k + [1])
+    R = fpoly.QuotientRing(mod)
+    x = R.digits(top)
+    assert R.poly(R.mul(x, x)) == top * top % mod
+    assert R.poly(R.sub(0, x)) == -top
+
+
+@pytest.mark.parametrize("k", [1, 16, 256])
+@pytest.mark.parametrize("F", [F for F in PACKED_FIELDS if F.p > 2], ids=repr)
+def test_quotient_ring_lane_mod_is_exact_to_the_lane_bound(F, k):
+    # a product's lanes are at most 2k a (p - 1)^2 p^(a-1) after its fold
+    R = fpoly.QuotientRing(fpoly.DensePoly(F, [1] * k + [1]))
+    bound = 2 * k * F.a * (F.p - 1) ** 2 * F.p ** (F.a - 1)
+    rng = SplitMix64(k)
+    lanes = [bound - i % 5 if i % 3 else rng.randrange(bound + 1)
+             for i in range((2 * k - 1) * (2 * F.a - 1))]
+    x = sum(v << R.b * i for i, v in enumerate(lanes))
+    assert R._mod(x) == sum(v % F.p << R.b * i for i, v in enumerate(lanes))
 
 
 @settings(max_examples=60, deadline=None)
