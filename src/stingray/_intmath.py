@@ -1,20 +1,21 @@
 """Big-integer number theory: primality, factoring, prime powers.
 
-Factoring stack: trial division by all primes up to 10^6 (realized as gcds
-against precomputed primorial segments, which tests the identical prime set
-far faster on 100-bit inputs), then Brent's variant of Pollard rho, with
-Miller-Rabin primality on the cofactors.  Miller-Rabin is deterministic for
-n < 3.317e24 via the standard 12-base set; beyond that it falls back to 64
-pseudo-random rounds and the result is flagged uncertified.  `factorize`
-is the package's one integer factorizer; the ppd module caches its
-factorizations of cyclotomic values and reads primitive prime divisors
-off them.  Every memo of the package is a functools.lru_cache on a pure
-function of hashable arguments, bounded by CACHE_CAP unless it says
-otherwise, so each reports its hits, misses and size with cache_info().
+Factoring stack: trial division by the 172 primes below 2^10, then Brent's
+variant of Pollard rho (BIT 20, 1980) on what survives, with Miller-Rabin
+primality on the cofactors and perfect powers peeled before rho.  Rho
+finds a prime factor p in about sqrt(p) steps, about 1000 at p = 10^6,
+so a longer table of trial primes would save it little.
+Miller-Rabin is deterministic for n < 3.317e24 via the standard 12-base
+set; beyond that it falls back to 64 pseudo-random rounds and the result
+is flagged uncertified.  `factorize` is the package's one integer
+factorizer; the ppd module caches its factorizations of cyclotomic values
+and reads primitive prime divisors off them.  Every memo of the package
+is a functools.lru_cache on a pure function of hashable arguments,
+bounded by CACHE_CAP unless it says otherwise, so each reports its hits,
+misses and size with cache_info(); this module itself keeps none.
 `power` is the package's one square-and-multiply.
 """
 
-import functools
 import math
 
 # Deterministic Miller-Rabin base set, valid for all n < 3,317,044,064,679,887,385,961,981.
@@ -22,7 +23,9 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 64
 
-_SMALL_PRIME_LIMIT = 10 ** 6
+# factorize's trial divisors: the primes below 2^10.
+_SMALL_PRIMES = tuple(p for p in range(2, 1 << 10)
+                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
 # Entries of each bounded memo (fpoly's factor and root-order memos, ppd's
@@ -97,29 +100,11 @@ class SplitMix64:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def _sieve(limit):
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    return [i for i in range(limit) if flags[i]]
-
-
-@functools.lru_cache(maxsize=None)
-def _primorial_segments():
-    """(product, primes) blocks of 512 consecutive primes below
-    _SMALL_PRIME_LIMIT, built on first use."""
-    primes = _sieve(_SMALL_PRIME_LIMIT)
-    chunks = [primes[i:i + 512] for i in range(0, len(primes), 512)]
-    return [(math.prod(chunk), chunk) for chunk in chunks]
-
-
 def is_probable_prime(n):
     """Miller-Rabin.  Returns (is_prime, certified)."""
     if n < 2:
         return False, True
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p, True
     d = n - 1
@@ -173,17 +158,22 @@ def iroot(n, k):
         r = s
 
 
+def _perfect_root(n):
+    """(r, k) with r^k = n for n >= 2 and k as large as possible, so that
+    r is not itself a perfect power."""
+    for k in range(n.bit_length() - 1, 1, -1):
+        r = iroot(n, k)
+        if r ** k == n:
+            return r, k
+    return n, 1
+
+
 def is_prime_power(n):
     """Return (p, a) with n = p^a and p prime, or None."""
     if n < 2:
         return None
-    for a in range(n.bit_length(), 0, -1):
-        p = iroot(n, a)
-        if p < 2:
-            continue
-        if p ** a == n and is_prime(p):
-            return p, a
-    return None
+    p, a = _perfect_root(n)
+    return (p, a) if is_prime(p) else None
 
 
 def _brent_rho(n, rng):
@@ -231,50 +221,33 @@ def factorize(n):
         raise ValueError("factorize requires n >= 1")
     factors = {}
     certified = True
-    if n == 1:
-        return factors, certified
 
-    # Trial stage: gcd against primorial segments covers every prime < 10^6.
-    for prod, chunk in _primorial_segments():
-        if n == 1 or chunk[0] * chunk[0] > n:
+    # Trial stage: a survivor below the square of the next divisor is 1
+    # or prime.
+    for p in _SMALL_PRIMES:
+        if p * p > n:
             break
-        g = math.gcd(n, prod)
-        if g == 1:
-            continue
-        for p in chunk:
-            if g % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                factors[p] = e
-                g //= p
-                while g % p == 0:
-                    g //= p
-                if g == 1:
-                    break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
 
-    # Rho stage on what survives.
+    # Rho stage on what survives; every prime factor left is above 2^10.
     stack = [n] if n > 1 else []
     rng = SplitMix64(0xC0FFEE ^ n & ((1 << 64) - 1))
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         prime, cert = is_probable_prime(m)
         if prime:
             certified = certified and cert
             factors[m] = factors.get(m, 0) + 1
             continue
         # perfect powers make rho needlessly slow; peel them first
-        handled = False
-        for k in range(2, m.bit_length()):
-            r = iroot(m, k)
-            if r > 1 and r ** k == m:
-                stack.extend([r] * k)
-                handled = True
-                break
-        if handled:
+        r, k = _perfect_root(m)
+        if k > 1:
+            stack.extend([r] * k)
             continue
         d = _brent_rho(m, rng)
         stack.append(d)

@@ -104,12 +104,8 @@ class DenseMatrix:
     def __hash__(self):
         return hash((self.field, self.arr.shape, self.arr.tobytes()))
 
-    def rref(self):
-        R, piv, rank = _kernels.rref(self.field, self.arr)
-        return DenseMatrix(self.field, R), piv, rank
-
     def rank(self):
-        return self.rref()[2]
+        return _kernels.rref(self.field, self.arr)[2]
 
     def det(self):
         """Determinant encoding, via the characteristic polynomial."""

@@ -459,7 +459,11 @@ def _random_algebra_element(grp, rng):
     return total
 
 
-def is_irreducible(grp, seed=DEFAULT_SEED, max_rounds=64):
+# Algebra elements is_irreducible draws before it answers INCONCLUSIVE.
+_IRREDUCIBLE_ROUNDS = 64
+
+
+def is_irreducible(grp, seed=DEFAULT_SEED):
     """Norton-style randomized irreducibility test.
 
     A singular algebra element a is sampled; a kernel vector that spins to
@@ -474,7 +478,7 @@ def is_irreducible(grp, seed=DEFAULT_SEED, max_rounds=64):
         return IrreducibilityResult(status="YES", witness=None, rounds=0)
     rng = SplitMix64(seed)
     tgrp = grp.transpose_group()
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _IRREDUCIBLE_ROUNDS + 1):
         a = _random_algebra_element(grp, rng)
         null = fmatrix.kernel(a)
         if null.dim == 0 or null.dim == d:
@@ -498,7 +502,7 @@ def is_irreducible(grp, seed=DEFAULT_SEED, max_rounds=64):
             return IrreducibilityResult(status="YES", witness=None,
                                         rounds=rounds)
     return IrreducibilityResult(status="INCONCLUSIVE", witness=None,
-                                rounds=max_rounds)
+                                rounds=_IRREDUCIBLE_ROUNDS)
 
 
 # --- group order: Schreier-Sims on the induced permutation action ---

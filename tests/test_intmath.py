@@ -5,6 +5,7 @@ import pytest
 from stingray._intmath import (SplitMix64, factorization_order_descend,
                                factorize, iroot, is_prime, is_prime_power,
                                is_probable_prime, power)
+from stingray.ppd import cyclotomic_value
 
 import oracles
 
@@ -43,6 +44,25 @@ def test_factorize_seeded_sweep():
         assert prod == n
 
 
+def test_factorize_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    ns = [cyclotomic_value(k, q) for q in range(2, 33)
+          if is_prime_power(q) for k in range(1, 21)]
+    # primes either side of the trial bound 2^10, and of 10^6
+    edge = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049]
+    ns += [a * b for i, a in enumerate(edge) for b in edge[i:]]
+    ns += [1021 ** 2 * 1031, 1019 * 1031 * 1049, 1031 ** 3]
+    for p in (999979, 999983, 1000003, 1000033):
+        ns += [p, p ** 2, p ** 3]
+    big = sympy.nextprime(2 ** 64)
+    ns += [p ** k * big for p in (2, 3, 1021, 1031, 999983, 1000003)
+           for k in (1, 2, 3)]
+    for n in ns:
+        fac, certified = factorize(n)
+        assert fac == sympy.factorint(n), n
+        assert certified, n
+
+
 def test_is_prime_power():
     assert is_prime_power(8) == (2, 3)
     assert is_prime_power(9) == (3, 2)
@@ -50,6 +70,10 @@ def test_is_prime_power():
     assert is_prime_power(12) is None
     assert is_prime_power(1) is None
     assert is_prime_power(2 ** 31 - 1) == (2 ** 31 - 1, 1)
+    # composite bases have no prime root; 2^6 is also 4^3 and 8^2
+    assert is_prime_power(6 ** 5) is None
+    assert is_prime_power(12 ** 3) is None
+    assert is_prime_power(2 ** 6) == (2, 6)
 
 
 def test_iroot_exact_beyond_float_range():

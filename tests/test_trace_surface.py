@@ -47,7 +47,7 @@ def test_every_memo_is_an_lru_cache():
              ppd._factor_phi: cap, FieldSpec.q1_factors: cap,
              FieldSpec.generator_enc: cap, ffield._embedding_root: cap,
              _kernels.shift_index: 16,
-             ffield._field: None, _intmath._primorial_segments: None}
+             ffield._field: None}
     for memo, maxsize in memos.items():
         assert memo.cache_info().maxsize == maxsize, memo
     # one interned instance whatever the modulus is given as
