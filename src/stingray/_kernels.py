@@ -14,27 +14,16 @@ which broadcast their operands and make no copies of them:
   mul        prime field: product mod p
              tabled extension: the single gather exp[log[x] + log[y]];
              the zero sentinel of ffield's tables makes it exact on zeros
-             extension above ffield.TABLE_CAP: ring_mul on the base-p
-             digits of x and y, GF(p^a) being GF(p)[t]/(modulus);
-             encodings are int64 while q < 2^62 and Python ints from there
-             on, digits always int64
+             extension above ffield.TABLE_CAP: FieldSpec.mul_enc per entry,
+             a product in the field's quotient ring GF(p)[t]/(modulus)
   dot        A @ x for a vector x, the field sum over the last axis of A * x
              prime field: one _dot_mod
              p = 2 extension: xor-reduce of the products
              odd extension: digit i of the sum is the sum of the digits i
              of the products, mod p
 
-ring_mul is mul's product above the table cap: GF(p^a) is the quotient
-ring GF(p)[t]/(modulus), deg modulus = a, and an element is its vector of
-a base-p digits, then a trailing 0.  The digit polynomial product is one
-gather of y's digits by shift_index(a) and one _dot_mod; its reduction is
-a second _dot_mod by the table FieldSpec._red, whose row I holds the
-digits of t^I mod the modulus.  Quotient rings over GF(q) in general are
-fpoly.QuotientRing, on packed integers.
-
-_dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul,
-the prime-field dot and ring_mul all sum through it.  Negation is
-sub(F, 0, x).
+_dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul
+and the prime-field dot sum through it.  Negation is sub(F, 0, x).
 
 charpoly reduces the matrix to upper Hessenberg form on the array, one
 column per step: a row update through sub and mul and a column update
@@ -42,8 +31,6 @@ through dot.  Only the recurrence over the leading blocks of the
 Hessenberg matrix, O(d^2) scalars per block, runs on Python ints with the
 FieldSpec scalar methods.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,41 +93,13 @@ def dot(F, A, x):
     return s
 
 
-@lru_cache(maxsize=16)
-def shift_index(k):
-    """Gather index of ring_mul over GF(p)[t]/(f), deg f = k.
-
-    Entry (i, I) is the index I - i of the coefficient of y that
-    coefficient i of x meets in the term t^I, or k (y's trailing 0) where
-    there is none.  Shared and read-only.
-    """
-    d = np.arange(2 * k - 1) - np.arange(k)[:, None]
-    shift = np.where((d >= 0) & (d < k), d, k)
-    shift.flags.writeable = False
-    return shift
-
-
-def ring_mul(p, shift, red, x, y):
-    """Product of broadcastable coefficient arrays (..., k+1), last entry
-    0, in GF(p)[t]/(f) with gather index `shift` and reduction table
-    `red`, whose row I holds the coefficients of t^I mod f."""
-    c = _dot_mod(x[..., None, :-1], y[..., shift], p)[..., 0, :]
-    return _dot_mod(c, red, p)
-
-
 def mul(F, x, y):
     """Elementwise product of two broadcastable encoding arrays."""
     if F.a == 1:
         return x * y % F.p
     if F._log is not None:
         return F._exp[F._log[x] + F._log[y]]
-    # digits (..., a+1), the last one 0 (x < p^a)
-    pw = F._pw
-    xd = (np.asarray(x, dtype=pw.dtype)[..., None] // pw % F.p).astype(
-        np.int64, copy=False)
-    yd = (np.asarray(y, dtype=pw.dtype)[..., None] // pw % F.p).astype(
-        np.int64, copy=False)
-    return ring_mul(F.p, F._shift, F._red, xd, yd) @ pw
+    return np.frompyfunc(F.mul_enc, 2, 1)(x, y).astype(np.int64)
 
 
 def matmul(F, A, B):

@@ -15,9 +15,13 @@ TABLE_CAP = 2^20 get exp/log tables, built once per field.  exp holds
 g^i for 0 <= i < 2(q-1) and zeros up to its last index 4(q-1); log[0] is
 the sentinel 2(q-1).  So exp[log[x] + log[y]] is the product of any two
 encodings, zero included, with no test (array or scalar alike).  Every
-product above the cap is _kernels.ring_mul on base-p digits by the
-field's _shift = shift_index(a) and _red, the rows t^I mod modulus, I <
-2a - 1; the exp tables themselves are filled by doubling through it.
+extension field holds _ring = fpoly.QuotientRing of its modulus over
+GF(p), whose pack of an encoding is the element: products and powers
+above the cap run there, one scalar at a time, and so do inverses,
+Frobenius maps and orders, through pow_enc.  The exp tables are filled by
+doubling: exp[m:2m] is exp[:m] times g^m, the base-p digits of exp[:m]
+times the a x a matrix of that GF(p)-linear map in one prime-field
+_kernels.matmul.
 
 Field construction goes through fpoly over the prime field: the modulus,
 when not supplied, is the lexicographically smallest monic irreducible of
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import _kernels, fpoly
 from ._intmath import (CACHE_CAP, factorization_order_descend, factorize,
-                       is_prime, power)
+                       is_prime)
 from .errors import (DegreeMismatch, DivisionByZero, NoEmbedding, NotPrime,
                      ReducibleModulus)
 
@@ -59,8 +63,7 @@ def _smallest_irreducible(p, a):
 class FieldSpec:
     """The field GF(p^a).  Immutable; instances are interned by make_field."""
 
-    __slots__ = ("p", "a", "q", "modulus", "_exp", "_log", "_pw", "_red",
-                 "_shift")
+    __slots__ = ("p", "a", "q", "modulus", "_exp", "_log", "_ring")
 
     def __init__(self, p, a, modulus):
         self.p = p
@@ -69,16 +72,9 @@ class FieldSpec:
         self.modulus = modulus  # tuple of a+1 ints, ascending, or None for a == 1
         self._exp = self._log = None
         if a > 1:
-            # what _kernels.mul needs without tables: the powers p^0..p^a
-            # (digit a of an encoding is 0), and the gather index and the
-            # rows t^I mod modulus, I < 2a - 1, of GF(p)[t]/(modulus)
-            dt = np.int64 if self.q < 1 << 62 else object
-            self._pw = np.array([p ** i for i in range(a + 1)], dtype=dt)
-            m = fpoly.DensePoly(make_field(p), modulus)
-            t = fpoly.x_poly(m.field)
-            self._red = np.array([((t ** i % m).coeffs + [0] * a)[:a + 1]
-                                  for i in range(2 * a - 1)], dtype=np.int64)
-            self._shift = _kernels.shift_index(a)
+            # GF(p)[t]/(modulus), whose pack of an encoding is the element
+            self._ring = fpoly.QuotientRing(
+                fpoly.DensePoly(make_field(p), modulus))
             if self.q <= TABLE_CAP:
                 self._exp, self._log = self._build_tables()
 
@@ -91,14 +87,19 @@ class FieldSpec:
     def _build_tables(self):
         # log[0] = 2(q-1) and exp is zero from index 2(q-1) on, so a product
         # exp[log[x] + log[y]] is 0 whenever x or y is, with no test
-        q1 = self.q - 1
+        p, q1 = self.p, self.q - 1
+        Fp, pw = make_field(p), p ** np.arange(self.a)
         gen = self.generator_enc()
         exp = np.zeros(4 * q1 + 1, dtype=np.int64)
         exp[0] = 1
         m, gm = 1, gen          # exp[:m] holds g^0..g^(m-1); gm = g^m
         while m < q1:
             n = min(m, q1 - m)
-            exp[m:m + n] = _kernels.mul(self, exp[:n], gm)
+            # y -> y g^m is GF(p)-linear; row i of its matrix holds the
+            # digits of g^m t^i, t^i being the encoding p^i
+            rows = np.array([self.mul_enc(gm, c) for c in pw.tolist()])
+            exp[m:m + n] = _kernels.matmul(Fp, exp[:n, None] // pw % p,
+                                           rows[:, None] // pw % p) @ pw
             m += n
             gm = self.mul_enc(gm, gm)
         assert self.mul_enc(exp.item(q1 - 1), gen) == 1, "generator order wrong"
@@ -147,7 +148,8 @@ class FieldSpec:
             return x * y % self.p
         if self._log is not None:
             return self._exp.item(self._log.item(x) + self._log.item(y))
-        return int(_kernels.mul(self, x, y))
+        R = self._ring
+        return R.unpack(R.mul(R.pack(x), R.pack(y)))
 
     def inv_enc(self, x):
         if x == 0:
@@ -169,7 +171,8 @@ class FieldSpec:
         if self._log is not None:
             return self._exp.item(self._log.item(x) * (n % (self.q - 1))
                                   % (self.q - 1))
-        return power(x, n, self.mul_enc, 1)
+        R = self._ring
+        return R.unpack(R.pow(R.pack(x), n))
 
     def frob_enc(self, x, k):
         k %= self.a

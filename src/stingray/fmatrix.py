@@ -4,9 +4,9 @@ A matrix g acts on row vectors by v |-> v g, so the image of g is its row
 space and the kernel is the left null space {v : v g = 0}.  Entries are
 integer encodings in an int64 numpy array.  Multiply, echelon form,
 characteristic polynomial and the elementwise add, sub, neg and scale run
-through the _kernels module, one implementation each for every field,
-including extension fields above the table cap (encodings must fit in
-int64).
+through the _kernels module, one implementation each for every field
+with q < 2^62, so that encodings fit in int64.  Above ffield.TABLE_CAP
+the entry products run one at a time in the field's quotient ring.
 """
 
 import math

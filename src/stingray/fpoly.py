@@ -12,7 +12,9 @@ DensePoly arithmetic (sum, product, division, gcd) is scalar, one
 FieldSpec call per coefficient pair.  Powers modulo a polynomial are not:
 powmod works in QuotientRing, GF(q)[t]/(f) on packed integers, one big-int
 multiply and Barrett's reduction per product; each caller builds its own
-ring, once per modulus.
+ring, once per modulus.  Every extension field of ffield holds the ring
+of its modulus over GF(p), and above its table cap multiplies there,
+through pack and unpack, which convert encodings to elements.
 The distinct-degree split keeps the scalar gcds few: its Frobenius steps
 run in the ring of the squarefree part, and it makes one gcd per block of
 about sqrt(n/2) steps against the product of the block's t^(q^i) - t
@@ -224,7 +226,9 @@ class QuotientRing:
     folds lanes s >= a by the field's modulus, _mod takes lanes mod p.
     Reduction mod f is Barrett's (von zur Gathen-Gerhard, Modern Computer
     Algebra, 9.1): c's quotient is floor(floor(c/t^k) mu / t^(k-2)),
-    mu = floor(t^(2k-2)/f) found once by Newton iteration.
+    mu = floor(t^(2k-2)/f) found once by Newton iteration.  digits and
+    poly convert from and to DensePoly, pack and unpack from and to the
+    integer whose base-q digits are the coefficients.
     """
 
     __slots__ = ("field", "k", "b", "w", "ones", "folds", "s", "m", "even",
@@ -305,6 +309,33 @@ class QuotientRing:
         return DensePoly(F, [sum((x >> i * self.w + s * self.b & lane)
                                  * F.p ** s for s in range(F.a))
                              for i in range(self.k)])
+
+    def pack(self, n):
+        """The element whose coefficients are the base-q digits of n < q^k.
+
+        Base-p digit j of n is digit j mod a of coefficient j // a, in lane
+        j + (a-1)(j // a).  Over GF(2), bit j of n goes to bit w j.
+        """
+        F = self.field
+        if F.q == 2:
+            return int(("0" * (self.w - 1)).join(format(n, "b")), 2)
+        x, j = 0, 0
+        while n:
+            n, d = divmod(n, F.p)
+            x |= d << (j + j // F.a * (F.a - 1)) * self.b
+            j += 1
+        return x
+
+    def unpack(self, x):
+        """The integer whose base-q digits are the coefficients of x."""
+        F = self.field
+        if F.q == 2:
+            # every lane is 0 or 1, so the top bit is bit w i for some i
+            return int(format(x, "b")[::self.w], 2)
+        lane, n = (1 << self.b) - 1, 0
+        for j in reversed(range(self.k * F.a)):
+            n = n * F.p + (x >> (j + j // F.a * (F.a - 1)) * self.b & lane)
+        return n
 
     def sub(self, x, y):
         return self._reduce(x + self.pad - y)

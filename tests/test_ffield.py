@@ -15,6 +15,9 @@ FIELDS = [ffield.make_field(2), ffield.make_field(3), ffield.make_field(5),
           ffield.make_field(2, 2), ffield.make_field(2, 3),
           ffield.make_field(3, 2), ffield.make_field(5, 2),
           ffield.make_field(3, 3)]
+# above ffield.TABLE_CAP, multiplying in their quotient rings
+RING_FIELDS = [ffield.field_from_q(2 ** 21), ffield.field_from_q(3 ** 13),
+               ffield.make_field(2147483629, 2), ffield.make_field(2, 64)]
 
 
 def test_gf4_canonical_modulus():
@@ -61,7 +64,7 @@ def test_default_modulus_is_proved_once(monkeypatch):
 
 
 @settings(max_examples=120, deadline=None)
-@given(F=st.sampled_from(FIELDS), data=st.data())
+@given(F=st.sampled_from(FIELDS + RING_FIELDS), data=st.data())
 def test_field_laws(F, data):
     x = data.draw(st.integers(0, F.q - 1))
     y = data.draw(st.integers(0, F.q - 1))
@@ -78,7 +81,7 @@ def test_field_laws(F, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(F=st.sampled_from(FIELDS), data=st.data())
+@given(F=st.sampled_from(FIELDS + RING_FIELDS), data=st.data())
 def test_frobenius_is_pth_power(F, data):
     x = data.draw(st.integers(0, F.q - 1))
     assert F.frob_enc(x, 1) == F.pow_enc(x, F.p)

@@ -181,6 +181,8 @@ def test_quotient_ring_product_matches_schoolbook(F, k):
     g, h = (_random_poly(F, rng, k - 1) for _ in range(2))
     x, y = R.digits(g), R.digits(h)
     assert R.poly(x) == g and R.poly(y) == h
+    n = sum(c * F.q ** i for i, c in enumerate(g.coeffs))
+    assert R.pack(n) == x and R.unpack(x) == n
     assert R.poly(R.mul(x, y)) == g * h % mod, (F, mod)
     assert R.mul(x, R.digits(fpoly.DensePoly(F, []))) == 0
     assert R.mul(x, 1) == x

@@ -1,6 +1,7 @@
 """The single kernel path against naive oracles, on every field case:
 prime, p = 2 extension, odd extension, and extension fields above the
-exp/log table cap, which multiply base-p digit arrays."""
+exp/log table cap, whose entry products run one at a time in the field's
+quotient ring."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from stingray.fmatrix import (DenseMatrix, _poly_at, block_diagonal,
 import oracles
 
 # GF(2^21), GF(3^13) and GF(2147483629^2) are above ffield.TABLE_CAP and
-# have no exp/log tables; at p = 2147483629 each (p-1)^2 product is just
-# under 2^62, so _dot_mod sums one term at a time, and q = p^2 is too
+# multiply in their quotient rings; at p = 2147483629 each (p-1)^2
+# product is just under 2^62, so _dot_mod sums one term at a time
 FIELDS = [ffield.make_field(2), ffield.make_field(251),
           ffield.make_field(2, 3), ffield.make_field(3, 2),
           ffield.field_from_q(2 ** 21), ffield.field_from_q(3 ** 13),
@@ -154,6 +155,21 @@ def test_untabled_product_all_pairs(q, monkeypatch):
     assert [F.mul_enc(x, y) for x in range(q) for y in range(q)] == want
     assert [F.inv_enc(x) for x in range(1, q)] == \
         [T.inv_enc(x) for x in range(1, q)]
+
+
+@pytest.mark.parametrize("q", [4, 9, 2 ** 12, 3 ** 7, 251 ** 2, 2 ** 16])
+def test_tables_match_ring_product(q, monkeypatch):
+    # the tables are built by doubling, through prime-field matrix products;
+    # each entry is the one before it times g in the untabled twin's ring
+    T = ffield.field_from_q(q)
+    monkeypatch.setattr(ffield, "TABLE_CAP", 1)
+    F = ffield.FieldSpec(T.p, T.a, T.modulus)
+    g = T.generator_enc()
+    exp = T._exp[:q - 1].tolist()
+    assert exp[0] == 1
+    assert all(exp[i + 1] == F.mul_enc(exp[i], g) for i in range(q - 2))
+    assert F.mul_enc(exp[-1], g) == 1
+    assert T._log[T._exp[:q - 1]].tolist() == list(range(q - 1))
 
 
 @pytest.mark.parametrize("p,a", [(2, 64), (251, 8)])

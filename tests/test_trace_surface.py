@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from stingray import _intmath, _kernels, ffield, fpoly, ppd
+from stingray import _intmath, ffield, fpoly, ppd
 from stingray.ffield import FieldSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,7 +46,6 @@ def test_every_memo_is_an_lru_cache():
     memos = {fpoly.factor_cached: cap, fpoly._root_order: cap,
              ppd._factor_phi: cap, FieldSpec.q1_factors: cap,
              FieldSpec.generator_enc: cap, ffield._embedding_root: cap,
-             _kernels.shift_index: 16,
              ffield._field: None}
     for memo, maxsize in memos.items():
         assert memo.cache_info().maxsize == maxsize, memo
