@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels over GF(q).
 
 Matrices are int64 numpy arrays of integer-encoded field elements
-(encoding sum c_i p^i).  Each kernel -- matrix multiply, reduced row
+(encoding sum c_i p^i).  Each kernel -- matrix multiply, rank, reduced row
 echelon form, characteristic polynomial -- has one body and takes the
-FieldSpec itself as the description of the field.  The field cases live
+FieldSpec itself as the description of the field.  Multiply and
+characteristic polynomial run on the arrays, and their field cases live
 only in the elementwise primitives add, sub and mul and in the sum dot,
 which broadcast their operands and make no copies of them:
 
@@ -25,6 +26,15 @@ which broadcast their operands and make no copies of them:
 _dot_mod is the one overflow-safe (A @ B) mod p: the prime-field matmul
 and the prime-field dot sum through it.  Negation is sub(F, 0, x).
 
+rank and rref run on packed rows: each row is one Python int in the lane
+layout fpoly.lanes(F, 1, n) that the quotient rings use (Kronecker
+substitution), entry j in slot j, so a row operation is one small-by-big
+multiply and the layout's reduce.  Rows go in and out through the
+layout's row and entries, as ring elements do; only fpoly knows where a
+digit sits.  One forward pass finds each pivot by shift and mask, swaps
+it up, scales it to 1 and eliminates below it; rank stops there, and
+rref adds back-substitution and the unpack.
+
 charpoly reduces the matrix to upper Hessenberg form on the array, one
 column per step: a row update through sub and mul and a column update
 through dot.  Only the recurrence over the leading blocks of the
@@ -33,6 +43,8 @@ FieldSpec scalar methods.
 """
 
 import numpy as np
+
+from .fpoly import lanes
 
 
 def backend():
@@ -113,41 +125,80 @@ def matmul(F, A, B):
     return C
 
 
+def _forward(L, rows, limit):
+    """Row echelon form of the packed rows in their first `limit` columns,
+    in place: each pivot row is scaled to pivot 1, and the rows below it
+    lose their multiples of it.  Returns the pivot columns.
+
+    The next pivot column is the lowest nonzero slot of the OR of the rows
+    below the last pivot, its row the first of them with that slot
+    nonzero; one pass over those rows eliminates and ORs for the next.
+    """
+    w, slot, neg, red = L.w, L.low, L.neg, L.reduce
+    cut = (1 << limit * w) - 1
+    below = 0
+    for x in rows:
+        below |= x
+    below &= cut
+    pivots = []
+    while below:
+        sh = ((below & -below).bit_length() - 1) // w * w
+        r = len(pivots)
+        i = r
+        while not rows[i] >> sh & slot:
+            i += 1
+        top, rows[i] = rows[i], rows[r]
+        c = top >> sh & slot
+        if c != 1:
+            top = red(L.inv(c) * top)
+        rows[r] = top
+        pivots.append(sh // w)
+        below = 0
+        for i in range(r + 1, len(rows)):
+            x = rows[i]
+            c = x >> sh & slot
+            if c:
+                x = rows[i] = red(x + neg(c) * top)
+            below |= x
+        below &= cut
+    return pivots
+
+
+def rank(F, M):
+    """Rank of the encoding array M: the forward pass alone."""
+    M = np.asarray(M, dtype=np.int64)
+    if M.size == 0:
+        return 0
+    L = lanes(F, 1, M.shape[1])
+    return len(_forward(L, [L.row(cs) for cs in M.tolist()], M.shape[1]))
+
+
 def rref(F, M, limit=None):
     """Reduced row echelon form.
 
     Pivot search is restricted to the first `limit` columns (defaults to
     all), which lets callers rref augmented blocks [M | I].  Returns
-    (R, pivot column list, rank).
+    (R, pivot column list, rank).  After the forward pass, back-substitution
+    takes the pivot rows last first: row j loses the reduced row k times
+    its own entry in pivot column k, for each later pivot k.
     """
-    R = np.array(M, dtype=np.int64, order="C")
-    if R.size == 0 or R.shape[0] == 0:
-        return R, [], 0
-    if limit is None:
-        limit = R.shape[1]
-    m = R.shape[0]
-    pivots = []
-    rank = 0
-    for col in range(limit):
-        if rank == m:
-            break
-        nz = np.nonzero(R[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            R[[rank, pr]] = R[[pr, rank]]
-        piv = int(R[rank, col])
-        if piv != 1:
-            R[rank] = mul(F, R[rank], np.int64(F.inv_enc(piv)))
-        others = np.nonzero(R[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            f = R[others, col:col + 1]
-            R[others] = sub(F, R[others], mul(F, f, R[rank:rank + 1, :]))
-        pivots.append(col)
-        rank += 1
-    return R, pivots, rank
+    M = np.asarray(M, dtype=np.int64)
+    if M.size == 0:
+        return M.copy(), [], 0
+    n = M.shape[1]
+    L = lanes(F, 1, n)
+    rows = [L.row(cs) for cs in M.tolist()]
+    pivots = _forward(L, rows, n if limit is None else limit)
+    w, slot, neg, red = L.w, L.low, L.neg, L.reduce
+    for j in reversed(range(len(pivots))):
+        x = y = rows[j]
+        for k in range(j + 1, len(pivots)):
+            c = x >> pivots[k] * w & slot
+            if c:
+                y = red(y + neg(c) * rows[k])
+        rows[j] = y
+    return (np.array([L.entries(x, n) for x in rows], dtype=np.int64),
+            pivots, len(pivots))
 
 
 def charpoly(F, M):

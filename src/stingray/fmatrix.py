@@ -2,11 +2,14 @@
 
 A matrix g acts on row vectors by v |-> v g, so the image of g is its row
 space and the kernel is the left null space {v : v g = 0}.  Entries are
-integer encodings in an int64 numpy array.  Multiply, echelon form,
+integer encodings in an int64 numpy array.  Multiply, rank, echelon form,
 characteristic polynomial and the elementwise add, sub, neg and scale run
 through the _kernels module, one implementation each for every field
-with q < 2^62, so that encodings fit in int64.  Above ffield.TABLE_CAP
-the entry products run one at a time in the field's quotient ring.
+with q < 2^62, so that encodings fit in int64.  rank() is the forward
+pass of the row reduction alone, on rows packed into Python ints; the
+echelon forms behind inverse, kernel and Subspace add back-substitution.
+Above ffield.TABLE_CAP the entry products of the array kernels run one at
+a time in the field's quotient ring.
 """
 
 import math
@@ -105,7 +108,7 @@ class DenseMatrix:
         return hash((self.field, self.arr.shape, self.arr.tobytes()))
 
     def rank(self):
-        return _kernels.rref(self.field, self.arr)[2]
+        return _kernels.rank(self.field, self.arr)
 
     def det(self):
         """Determinant encoding, via the characteristic polynomial."""

@@ -9,12 +9,15 @@ factor() is deterministic, and the factor list is sorted by (degree,
 ascending coefficient tuple) to make the output canonical.
 
 DensePoly arithmetic (sum, product, division, gcd) is scalar, one
-FieldSpec call per coefficient pair.  Powers modulo a polynomial are not:
-powmod works in QuotientRing, GF(q)[t]/(f) on packed integers, one big-int
-multiply and Barrett's reduction per product; each caller builds its own
-ring, once per modulus.  Every extension field of ffield holds the ring
-of its modulus over GF(p), and above its table cap multiplies there,
-through pack and unpack, which convert encodings to elements.
+FieldSpec call per coefficient pair; its results skip the public
+constructor's conversion and range check.  Powers modulo a polynomial
+are not scalar: powmod works in QuotientRing, GF(q)[t]/(f) on packed
+integers, one big-int multiply and Barrett's reduction per product; each
+caller builds its own ring, once per modulus, on the lane layout (Lanes)
+that every ring of its field and degree shares, and that the row
+reduction in _kernels uses too.  Every extension field of ffield holds
+the ring of its modulus over GF(p), and above its table cap multiplies
+there, through pack and unpack, which convert encodings to elements.
 The distinct-degree split keeps the scalar gcds few: its Frobenius steps
 run in the ring of the squarefree part, and it makes one gcd per block of
 about sqrt(n/2) steps against the product of the block's t^(q^i) - t
@@ -56,6 +59,16 @@ class DensePoly:
                 raise ValueError("coefficient encoding out of range")
         self.coeffs = cs
 
+    @classmethod
+    def _of(cls, field, cs):
+        """The polynomial of the list cs of in-range int encodings, taken
+        over as it is: only its trailing zeros are stripped."""
+        f = object.__new__(cls)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        f.field, f.coeffs = field, cs
+        return f
+
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -79,7 +92,7 @@ class DensePoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = F.add_enc(out[i], c)
-        return DensePoly(F, out)
+        return DensePoly._of(F, out)
 
     def __sub__(self, other):
         self._check(other)
@@ -90,29 +103,29 @@ class DensePoly:
             x = self.coeffs[i] if i < len(self.coeffs) else 0
             y = other.coeffs[i] if i < len(other.coeffs) else 0
             out.append(F.sub_enc(x, y))
-        return DensePoly(F, out)
+        return DensePoly._of(F, out)
 
     def __neg__(self):
         F = self.field
-        return DensePoly(F, [F.neg_enc(c) for c in self.coeffs])
+        return DensePoly._of(F, [F.neg_enc(c) for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
         F = self.field
         if self.is_zero() or other.is_zero():
-            return DensePoly(F, [])
+            return DensePoly._of(F, [])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
                 for j, cj in enumerate(other.coeffs):
                     if cj:
                         out[i + j] = F.add_enc(out[i + j], F.mul_enc(ci, cj))
-        return DensePoly(F, out)
+        return DensePoly._of(F, out)
 
     def scale(self, c):
         """Multiply by the scalar encoding c."""
-        F = self.field
-        return DensePoly(F, [F.mul_enc(c, x) for x in self.coeffs])
+        F, c = self.field, int(c)
+        return DensePoly._of(F, [F.mul_enc(c, x) for x in self.coeffs])
 
     def __divmod__(self, other):
         self._check(other)
@@ -122,7 +135,7 @@ class DensePoly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return DensePoly(F, []), DensePoly(F, rem)
+            return DensePoly._of(F, []), DensePoly._of(F, rem)
         quo = [0] * (dq + 1)
         inv_lead = F.inv_enc(other.coeffs[-1])
         for i in range(dq, -1, -1):
@@ -132,7 +145,7 @@ class DensePoly:
                 quo[i] = c
                 for j, oc in enumerate(other.coeffs):
                     rem[i + j] = F.sub_enc(rem[i + j], F.mul_enc(c, oc))
-        return DensePoly(F, quo), DensePoly(F, rem)
+        return DensePoly._of(F, quo), DensePoly._of(F, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -157,7 +170,7 @@ class DensePoly:
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(F.mul_enc(i % F.p, self.coeffs[i]))
-        return DensePoly(F, out)
+        return DensePoly._of(F, out)
 
     def eval_enc(self, x):
         F = self.field
@@ -217,133 +230,209 @@ def lcm(f, g):
     return ((f * g) // gcd(f, g)).monic()
 
 
-class QuotientRing:
-    """GF(q)[t]/(f), f monic of degree k >= 1, q = p^a, on packed integers.
+class Lanes:
+    """The Kronecker lane layout of n coefficient slots over GF(q), q = p^a.
 
-    An element is one int, digit s of coefficient i in bit lane (2a-1)*i + s
-    (Kronecker substitution; Harvey, JSC 44, 2009), so a product of two
-    coefficients, of degree <= 2a-2 in alpha, stays in its lanes.  _fold
-    folds lanes s >= a by the field's modulus, _mod takes lanes mod p.
-    Reduction mod f is Barrett's (von zur Gathen-Gerhard, Modern Computer
-    Algebra, 9.1): c's quotient is floor(floor(c/t^k) mu / t^(k-2)),
-    mu = floor(t^(2k-2)/f) found once by Newton iteration.  digits and
-    poly convert from and to DensePoly, pack and unpack from and to the
-    integer whose base-q digits are the coefficients.
+    An int holds coefficient i in slot i, the w = (2a-1)b bits from bit
+    w i on, and digit s of it in the b-bit lane s of the slot (Kronecker
+    substitution; Harvey, JSC 44, 2009), so the product of two
+    coefficients, of degree <= 2a-2 in alpha, stays in its slot.  b holds
+    the lanes of a sum of two sums of k coefficient products, at most 2c
+    with c = k a (p-1)^2, and of their fold, at most 2c p^(a-1) (p = 2:
+    lanes go mod 2 before the fold, and b bits hold 2c + 1); odd p spares
+    _mod a bit.  _fold folds lanes s >= a by the field's modulus, _mod
+    takes lanes mod p, and reduce does both.  low masks the first k slots,
+    and pad holds p in their digit lanes, so that sub(x, y) is x - y for x
+    and y there.  row and entries convert a list of encodings, one a slot,
+    to and from an int; pack and unpack convert from and to the integer
+    whose base-q digits are the first k slots.
+
+    The quotient ring of a modulus of degree k uses lanes(F, k, 2k - 1).
+    A matrix row of n entries uses lanes(F, 1, n): a row operation adds a
+    multiple of another row, one coefficient product to each slot.  Such a
+    caller finds entry j as the slot x >> w j & low and needs no digit:
+    neg and inv give -c and 1/c for a slot c, and reduce(x + neg(c) y) is
+    x - c y, its lanes at most (p-1)(ap + 1) before the reduce.
     """
 
-    __slots__ = ("field", "k", "b", "w", "ones", "folds", "s", "m", "even",
-                 "quot", "negm", "pad", "low", "mu", "negf")
+    __slots__ = ("field", "p", "b", "w", "ones", "lane", "digit", "folds",
+                 "s", "m", "even", "quot", "pad", "low", "at", "spread",
+                 "gather")
 
-    def __init__(self, f):
-        F, k = self.field, self.k = f.field, f.degree
+    def __init__(self, F, k, n):
         p, a = F.p, F.a
-        # b holds the largest lane value: a remainder's lanes are at most 2c
-        # and its fold takes them to at most 2c p^(a-1) (p = 2: 2c, as lanes
-        # go mod 2 before each fold step); odd p spares _mod a bit
+        self.field, self.p = F, p
         c = k * a * (p - 1) ** 2
         b = (2 * c).bit_length() if p == 2 else (
             (2 * c * p ** (a - 1)).bit_length() + 1)
         self.b, self.w = b, (2 * a - 1) * b
-        every = sum(1 << self.w * i for i in range(2 * k - 1))
+        every = sum(1 << self.w * i for i in range(n))
         self.ones = every * sum(1 << b * s for s in range(2 * a - 1))
-        self.folds = [every * ((1 << b) - 1) << b * s
-                      for s in range(2 * a - 2, a - 1, -1)]
+        # _fold adds lane s >= a of every slot times r, the digits of
+        # t^s mod the modulus, to the slot's lanes below a: below
+        # 1 + (a-1)(p-1) <= p^(a-1) times the largest lane
+        self.lane = every * ((1 << b) - 1)
+        self.digit = every * ((1 << a * b) - 1)
+        r, folds = [-m % p for m in (F.modulus or ())[:a]], []
+        for s in range(a, 2 * a - 1):
+            folds.append((b * s, sum(d << b * j for j, d in enumerate(r))))
+            # t^(s+1) = t t^s, its top digit folded by t^a
+            r = [(x + r[-1] * (-m % p)) % p
+                 for x, m in zip([0] + r[:-1], F.modulus)]
+        self.folds = tuple(folds)
         # _mod: even lanes and odd ones apart, each in a 2b-bit slot, take
         # v - p floor(v m / 2^s) with m = ceil(2^s / p) and 2^s > 2^(b-1) p
         # (Granlund-Montgomery, PLDI 1994), exact for v < 2^(b-1)
         self.s = b - 1 + p.bit_length()
         self.m = -(-(1 << self.s) // p)
-        slots = sum(1 << 2 * b * i for i in range((2 * k - 1) * a))
+        slots = sum(1 << 2 * b * i for i in range(n * a))
         self.even = slots * ((1 << b) - 1)
         self.quot = slots * ((1 << 2 * b - self.s) - 1)
-        self.negm = sum(-m % p << b * j
-                        for j, m in enumerate((F.modulus or ())[:a]))
         self.low = (1 << k * self.w) - 1
         self.pad = (every & self.low) * sum(p << b * s for s in range(a))
-        self.negf = self.digits(-DensePoly(F, f.coeffs[:k]))
-        # mu is h = rev(f)^-1 mod t^(k-1) reversed, rev(f) = t^k f(1/t):
-        # where h is right mod t^n, so is h - h(rev(f) h - 1) mod t^2n
-        rev = self.digits(DensePoly(F, f.coeffs[:0:-1][:k - 1]))
-        h, n = 1, 1
-        while n < k - 1:
-            cut = (1 << (min(2 * n, k - 1) - n) * self.w) - 1
-            e = self._reduce(rev * h) >> n * self.w & cut
-            h += (self._reduce(h * self.sub(0, e)) & cut) << n * self.w
-            n *= 2
-        h = self.poly(h | 1 << (k - 1) * self.w).coeffs     # k coefficients
-        self.mu = self.digits(DensePoly(F, h[-2::-1]))
+        self.at = tuple((j + j // a * (a - 1)) * b for j in range(k * a))
+        # with c_s = c // p^s, the digits sum_s (c_s - p c_(s+1)) 2^(b s)
+        # of c are c plus c_s (2^(b s) - p 2^(b(s-1))) for 0 < s < a
+        self.spread = tuple((p ** s, (1 << b * s) - (p << b * (s - 1)))
+                            for s in range(1, a))
+        self.gather = tuple(b * s for s in reversed(range(a)))
 
     def _fold(self, x):
-        """Fold lanes s >= a into lanes below a (p = 2: lanes mod 2 too)."""
-        for m in self.folds:
-            if self.field.p == 2:
-                x &= self.ones
-            hi = x & m
-            x += (hi >> self.field.a * self.b) * self.negm - hi
-        return x
+        """Fold lanes s >= a into lanes below a (p = 2: lanes mod 2 first)."""
+        if self.p == 2:
+            x &= self.ones
+        y, lane = x & self.digit, self.lane
+        for sh, r in self.folds:
+            y += (x >> sh & lane) * r
+        return y
 
-    def _reduce(self, x):
+    def _mod(self, x):
+        p = self.p
+        if p == 2:
+            return x & self.ones
+        b, even, m, s, q = self.b, self.even, self.m, self.s, self.quot
+        e, o = x & even, x >> b & even
+        return e - (e * m >> s & q) * p | o - (o * m >> s & q) * p << b
+
+    def reduce(self, x):
         """Fold lanes s >= a by the field's modulus, take lanes mod p."""
         return self._mod(self._fold(x) if self.folds else x)
 
-    def _mod(self, x):
-        if self.field.p == 2:
-            return x & self.ones
-        p, m, s, q = self.field.p, self.m, self.s, self.quot
-        e, o = x & self.even, x >> self.b & self.even
-        e -= (e * m >> s & q) * p
-        o -= (o * m >> s & q) * p
-        return e | o << self.b
+    def sub(self, x, y):
+        return self.reduce(x + self.pad - y)
 
-    def digits(self, g):
-        """The element g, of degree < k."""
-        F, x = self.field, 0
-        for c in reversed(g.coeffs):
-            x = x << self.w | sum(c // F.p ** s % F.p << s * self.b
-                                  for s in range(F.a))
+    def row(self, cs):
+        """The int whose slot i holds the encoding cs[i]."""
+        x, w, spread = 0, self.w, self.spread
+        for c in reversed(cs):
+            v = c
+            for m, k in spread:
+                v += c // m * k
+            x = x << w | v
         return x
 
-    def poly(self, x):
-        """The DensePoly of degree < k of the element x."""
-        F, lane = self.field, (1 << self.b) - 1
-        return DensePoly(F, [sum((x >> i * self.w + s * self.b & lane)
-                                 * F.p ** s for s in range(F.a))
-                             for i in range(self.k)])
+    def entries(self, x, n):
+        """The encodings in the first n slots of the reduced x: Horner's
+        rule in p on the digit lanes of every slot at once leaves each
+        slot's encoding, below q < 2^w, in the slot."""
+        p, lane, w, y = self.p, self.lane, self.w, 0
+        for sh in self.gather:
+            y = y * p + (x >> sh & lane)
+        cut, out = (1 << w) - 1, []
+        for _ in range(n):
+            out.append(y & cut)
+            y >>= w
+        return out
+
+    def neg(self, y):
+        """-y for y reduced in the first k slots, its digit lanes in [1, p]."""
+        return self.pad - y
+
+    def inv(self, c):
+        """The reduced slot of 1/c for the nonzero reduced slot c."""
+        return self.pack(self.field.inv_enc(self.unpack(c)))
 
     def pack(self, n):
-        """The element whose coefficients are the base-q digits of n < q^k.
+        """The int whose slots hold the base-q digits of n < q^k.
 
         Base-p digit j of n is digit j mod a of coefficient j // a, in lane
-        j + (a-1)(j // a).  Over GF(2), bit j of n goes to bit w j.
+        j + (a-1)(j // a), at bit at[j].  Over GF(2), bit j of n goes to bit
+        w j.
         """
-        F = self.field
-        if F.q == 2:
+        p = self.p
+        if self.field.q == 2:
             return int(("0" * (self.w - 1)).join(format(n, "b")), 2)
-        x, j = 0, 0
-        while n:
-            n, d = divmod(n, F.p)
-            x |= d << (j + j // F.a * (F.a - 1)) * self.b
-            j += 1
+        x = 0
+        for sh in self.at:
+            if not n:
+                break
+            n, d = divmod(n, p)
+            x |= d << sh
         return x
 
     def unpack(self, x):
-        """The integer whose base-q digits are the coefficients of x."""
-        F = self.field
-        if F.q == 2:
+        """The integer whose base-q digits are the first k slots of x."""
+        if self.field.q == 2:
             # every lane is 0 or 1, so the top bit is bit w i for some i
             return int(format(x, "b")[::self.w], 2)
-        lane, n = (1 << self.b) - 1, 0
-        for j in reversed(range(self.k * F.a)):
-            n = n * F.p + (x >> (j + j // F.a * (F.a - 1)) * self.b & lane)
+        p, lane, n = self.p, (1 << self.b) - 1, 0
+        for sh in reversed(self.at):
+            n = n * p + (x >> sh & lane)
         return n
 
-    def sub(self, x, y):
-        return self._reduce(x + self.pad - y)
+
+@functools.lru_cache(CACHE_CAP)
+def lanes(F, k, n):
+    """The shared Lanes(F, k, n)."""
+    return Lanes(F, k, n)
+
+
+class QuotientRing:
+    """GF(q)[t]/(f), f monic of degree k >= 1, q = p^a, on packed integers.
+
+    An element is one int in the layout lanes(F, k, 2k - 1), coefficient i
+    in slot i.  Every ring of one field and degree shares that layout, its
+    masks and its lane reduction, so a ring computes only -f and mu.
+    Reduction mod f is Barrett's (von zur Gathen-Gerhard, Modern Computer
+    Algebra, 9.1): c's quotient is floor(floor(c/t^k) mu / t^(k-2)),
+    mu = floor(t^(2k-2)/f) found once by Newton iteration.  digits and
+    poly convert from and to DensePoly through the layout's row and
+    entries, as matrix rows do; pack, unpack and sub are the layout's.
+    """
+
+    __slots__ = ("field", "k", "lanes", "pack", "unpack", "sub", "mu",
+                 "negf")
+
+    def __init__(self, f):
+        F, k = self.field, self.k = f.field, f.degree
+        L = self.lanes = lanes(F, k, 2 * k - 1)
+        self.pack, self.unpack, self.sub = L.pack, L.unpack, L.sub
+        self.negf = self.digits(-DensePoly._of(F, f.coeffs[:k]))
+        # mu is h = rev(f)^-1 mod t^(k-1) reversed, rev(f) = t^k f(1/t):
+        # where h is right mod t^n, so is h - h(rev(f) h - 1) mod t^2n
+        rev = L.row(f.coeffs[:0:-1][:k - 1])
+        h, n = 1, 1
+        while n < k - 1:
+            cut = (1 << (min(2 * n, k - 1) - n) * L.w) - 1
+            e = L.reduce(rev * h) >> n * L.w & cut
+            h += (L.reduce(h * self.sub(0, e)) & cut) << n * L.w
+            n *= 2
+        h = self.poly(h | 1 << (k - 1) * L.w).coeffs     # k coefficients
+        self.mu = L.row(h[-2::-1])
+
+    def digits(self, g):
+        """The element g, of degree < k."""
+        return self.lanes.row(g.coeffs)
+
+    def poly(self, x):
+        """The DensePoly of degree < k of the element x."""
+        return DensePoly._of(self.field, self.lanes.entries(x, self.k))
 
     def mul(self, x, y):
-        c, w, red = x * y, self.w, self._reduce
-        q = red(red(c >> self.k * w) * self.mu >> max(self.k - 2, 0) * w)
-        return red((c & self.low) + (q * self.negf & self.low))
+        L, k = self.lanes, self.k
+        c, w, red = x * y, L.w, L.reduce
+        q = red(red(c >> k * w) * self.mu >> max(k - 2, 0) * w)
+        return red((c & L.low) + (q * self.negf & L.low))
 
     def pow(self, x, e):
         """x^e; e >= 0 may be big."""

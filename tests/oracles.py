@@ -228,6 +228,45 @@ def gf_mul(x, y, p, modulus):
     return sum(c * p ** i for i, c in enumerate(_poly_mod(prod, modulus, p)))
 
 
+def gauss_jordan(rows, p, q, add, mul, limit=None):
+    """(R, pivot columns, rank) of a matrix over GF(q), q a power of p,
+    given as a list of rows of encodings, by Gauss-Jordan elimination with
+    only the field's add and mul: -1 is the encoding p - 1, and 1/x is
+    x^(q-2).
+
+    Pivots are sought in the first `limit` columns (default all), each in
+    the first row at or below the previous pivot's row that is nonzero
+    there; that row is swapped up and scaled to pivot 1, and every other
+    row loses its multiple of it.
+    """
+    R = [list(r) for r in rows]
+    ncols = len(R[0]) if R else 0
+
+    def inv(x):
+        out, e = 1, q - 2
+        while e:
+            if e & 1:
+                out = mul(out, x)
+            x, e = mul(x, x), e >> 1
+        return out
+
+    pivots = []
+    for col in range(ncols if limit is None else limit):
+        r = len(pivots)
+        nonzero = [i for i in range(r, len(R)) if R[i][col]]
+        if not nonzero:
+            continue
+        R[r], R[nonzero[0]] = R[nonzero[0]], R[r]
+        s = inv(R[r][col])
+        R[r] = [mul(s, x) for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][col]:
+                f = mul(p - 1, R[i][col])
+                R[i] = [add(x, mul(f, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(col)
+    return R, pivots, len(pivots)
+
+
 def induced_perms(gens, p, modulus=None, projective=False):
     """The permutations that row-action matrices over GF(p^a) induce on
     the vectors of GF(p^a)^d, or with projective on its lines (each

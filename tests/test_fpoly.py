@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,22 @@ def test_divmod_by_zero():
         divmod(P(F2, 1, 1), P(F2, 0))
 
 
+def test_public_constructor_converts_and_checks_every_coefficient():
+    f = fpoly.DensePoly(F5, [np.int64(3), np.int32(0), np.int64(4), 0, 0])
+    assert f.coeffs == [3, 0, 4] and all(type(c) is int for c in f.coeffs)
+    assert f == P(F5, 3, 0, 4) and hash(f) == hash(P(F5, 3, 0, 4))
+    assert fpoly.DensePoly(F5, np.array([0, 0])).is_zero()
+    for bad in ([5], [1, -1], [np.int64(7)], [1 << 70]):
+        with pytest.raises(ValueError):
+            fpoly.DensePoly(F5, bad)
+    # internal results are built from checked coefficients and stay ints
+    g = fpoly.DensePoly(F5, [np.int64(2), np.int64(1)])
+    for h in (f + g, f - g, -f, f * g, divmod(f, g)[0], divmod(f, g)[1],
+              f.scale(np.int64(3) % 5), f.derivative(), f.monic()):
+        assert all(type(c) is int and 0 <= c < 5 for c in h.coeffs)
+        assert not h.coeffs or h.coeffs[-1] != 0
+
+
 def _naive_powmod(f, e, mod):
     """Square-and-multiply on DensePoly products and remainders."""
     result = fpoly.constant(f.field, 1) % mod
@@ -195,6 +212,38 @@ def test_quotient_ring_product_matches_schoolbook(F, k):
     assert R.poly(R.sub(0, x)) == -top
 
 
+def test_rings_of_one_field_and_degree_share_their_layout():
+    rng = SplitMix64(12)
+    for F in PACKED_FIELDS:
+        f, g = (_random_poly(F, rng, 5).monic() for _ in range(2))
+        R, S = fpoly.QuotientRing(f), fpoly.QuotientRing(g)
+        assert R.lanes is S.lanes is fpoly.lanes(F, 5, 9)
+        assert fpoly.QuotientRing(_random_poly(F, rng, 4).monic()).lanes \
+            is not R.lanes
+
+
+def test_lanes_row_and_entries_place_digit_s_of_entry_j_in_its_lane():
+    rng = SplitMix64(13)
+    for F in PACKED_FIELDS:
+        for k, n in ((3, 5), (1, 7)):
+            L = fpoly.lanes(F, k, n)
+            cs = [F.q - 1, 0] + [rng.randrange(F.q) for _ in range(n - 2)]
+            x = L.row(cs)
+            a = F.a
+            lane = [(2 * a - 1) * j + s for j in range(n) for s in range(a)]
+            assert x == sum(c // F.p ** s % F.p << L.b * lane[j * a + s]
+                            for j, c in enumerate(cs) for s in range(a))
+            assert L.entries(x, n) == cs
+            assert L.entries(x, 2) == cs[:2]
+        # in the row layout lanes(F, 1, 7): 1/c times x, and x - c x
+        e = cs[-1] or 1
+        c = L.row([e])
+        assert L.entries(L.reduce(L.inv(c) * x), n) == [
+            F.mul_enc(F.inv_enc(e), y) for y in cs]
+        assert L.entries(L.reduce(x + L.neg(c) * x), n) == [
+            F.sub_enc(y, F.mul_enc(e, y)) for y in cs]
+
+
 @pytest.mark.parametrize("k", [1, 16, 256])
 @pytest.mark.parametrize("F", [F for F in PACKED_FIELDS if F.p > 2], ids=repr)
 def test_quotient_ring_lane_mod_is_exact_to_the_lane_bound(F, k):
@@ -204,8 +253,10 @@ def test_quotient_ring_lane_mod_is_exact_to_the_lane_bound(F, k):
     rng = SplitMix64(k)
     lanes = [bound - i % 5 if i % 3 else rng.randrange(bound + 1)
              for i in range((2 * k - 1) * (2 * F.a - 1))]
-    x = sum(v << R.b * i for i, v in enumerate(lanes))
-    assert R._mod(x) == sum(v % F.p << R.b * i for i, v in enumerate(lanes))
+    b = R.lanes.b
+    x = sum(v << b * i for i, v in enumerate(lanes))
+    assert R.lanes._mod(x) == sum(v % F.p << b * i
+                                  for i, v in enumerate(lanes))
 
 
 @settings(max_examples=60, deadline=None)

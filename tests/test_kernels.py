@@ -5,6 +5,8 @@ quotient ring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stingray import _kernels, ffield, fmatrix, fpoly
 from stingray._intmath import SplitMix64
@@ -33,10 +35,13 @@ def _random(F, rng, rows, cols):
 
 
 def _random_invertible(F, rng, d):
-    A = _random(F, rng, d, d)
-    while not A.is_invertible():
+    # a random matrix is invertible with probability above 1/4, so a
+    # wrong rank, not bad luck, is what finds none in 200 draws
+    for _ in range(200):
         A = _random(F, rng, d, d)
-    return A
+        if A.is_invertible():
+            return A
+    raise AssertionError("no invertible %dx%d matrix in 200 draws" % (d, d))
 
 
 def _random_monic(F, rng, k):
@@ -198,6 +203,89 @@ def test_inverse(field):
         A = _random_invertible(F, rng, d)
         assert A * A.inverse() == identity(F, d)
         assert A.inverse() * A == identity(F, d)
+
+
+def _reduction_cases(F, rng):
+    """(label, rows, limit) of every shape: empty either way, 1 x 1, wide,
+    tall, zero, rank-deficient, and [M | I] with M invertible or not."""
+    def rand(m, n):
+        return [[rng.randrange(F.q) for _ in range(n)] for _ in range(m)]
+
+    dup = rand(3, 5)
+    dup[1:1] = [list(dup[2])]
+    dup.append(list(dup[0]))
+    zcol = rand(5, 4)
+    for row in zcol:
+        row[1] = 0
+    M = _random_invertible(F, rng, 4).arr.tolist()
+    S = rand(3, 4)
+    S.append([F.add_enc(x, y) for x, y in zip(S[0], S[2])])
+    yield "0x3", np.zeros((0, 3), dtype=np.int64), None
+    yield "3x0", np.zeros((3, 0), dtype=np.int64), None
+    yield "1x1", rand(1, 1), None
+    yield "1x1 zero", [[0]], None
+    yield "wide", rand(3, 7), None
+    yield "tall", rand(7, 3), None
+    yield "zero", [[0] * 4 for _ in range(3)], None
+    yield "duplicated rows", dup, None
+    yield "zero column", zcol, None
+    for label, A in (("[M | I]", M), ("[S | I], S singular", S)):
+        yield label, [row + [int(i == j) for j in range(4)]
+                      for i, row in enumerate(A)], 4
+    yield "limit inside", rand(4, 6), 3
+
+
+def test_rref_and_rank_match_gauss_jordan(field):
+    F = field
+    add, mul = _oracle_ops(F)
+    rng = SplitMix64(30)
+    for label, rows, limit in _reduction_cases(F, rng):
+        arr = np.array(rows, dtype=np.int64)
+        want = oracles.gauss_jordan(arr.tolist(), F.p, F.q, add, mul,
+                                    limit)
+        R, piv, rank = _kernels.rref(F, arr, limit)
+        assert (R.dtype, R.shape) == (np.int64, arr.shape), label
+        assert (R.tolist(), piv, rank) == want, label
+        if limit is None:
+            assert DenseMatrix(F, arr).rank() == rank, label
+
+
+def test_rank_runs_the_forward_pass_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rank must not back-substitute or unpack")
+
+    rng = SplitMix64(31)
+    for F in FIELDS:
+        add, mul = _oracle_ops(F)
+        for m, n, r in ((5, 5, 5), (4, 6, 2), (6, 3, 3)):
+            A = _random(F, rng, m, r) * _random(F, rng, r, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "rref", refuse)
+                patch.setattr(fpoly.Lanes, "entries", refuse)
+                got = A.rank()
+            assert got == oracles.gauss_jordan(
+                A.arr.tolist(), F.p, F.q, add, mul)[2]
+
+
+RANK_FIELDS = [ffield.make_field(2), ffield.make_field(3, 2),
+               ffield.make_field(251)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RANK_FIELDS), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 6), st.integers(0, 6), st.integers(0, 1 << 30))
+def test_rank_of_transpose_and_product(F, m, k, n, r, seed):
+    # below min(m, k), A = X Y with inner dimension r, of rank at most r
+    rng = SplitMix64(seed)
+    if r >= min(m, k):
+        A, bound = _random(F, rng, m, k), min(m, k)
+    elif r:
+        A, bound = _random(F, rng, m, r) * _random(F, rng, r, k), r
+    else:
+        A, bound = zeros(F, m, k), 0
+    B = _random(F, rng, k, n)
+    assert A.rank() == A.transpose().rank() <= bound
+    assert (A * B).rank() <= min(A.rank(), B.rank())
 
 
 def test_kernel_is_left_null_space(field):

@@ -44,6 +44,7 @@ def test_every_traced_scalar_resolves():
 def test_every_memo_is_an_lru_cache():
     cap = _intmath.CACHE_CAP
     memos = {fpoly.factor_cached: cap, fpoly._root_order: cap,
+             fpoly.lanes: cap,
              ppd._factor_phi: cap, FieldSpec.q1_factors: cap,
              FieldSpec.generator_enc: cap, ffield._embedding_root: cap,
              ffield._field: None}
