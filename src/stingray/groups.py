@@ -15,7 +15,9 @@ the vectors of GF(q)^d or of its lines, and a deterministic Schreier-Sims
 runs on those permutations.  Transversals are Schreier vectors walked with
 cached generator inverses, and base points are basis vectors (or, for
 lines, the points of a projective frame), so no matrix is multiplied or
-inverted after the conversion.
+inverted after the conversion.  By Schreier's lemma the first level
+verifies only the Schreier generators of the input, and the sifting work
+is capped at SIFT_BUDGET steps.
 """
 
 from dataclasses import dataclass
@@ -513,6 +515,9 @@ PROJECTIVE = "projective"
 # Matrix entries per block when mapping points through matrices.
 _BLOCK = 1 << 16
 
+# group_order's budget of sift strip steps (about 1 us each).
+SIFT_BUDGET = 2 * 10 ** 7
+
 
 def _image_blocks(F, d, codes, block):
     """Encodings of v * block for the vectors v with the given encodings.
@@ -624,6 +629,8 @@ class _StabChain:
         self.perms = []
         self.invs = []
         self.levels = []
+        self.ninput = 0     # strong generators made from the input
+        self.work = 0       # strip steps taken by sift
 
     def start(self, whole):
         return self.ident if whole else self.frame
@@ -646,18 +653,24 @@ class _StabChain:
     def sift(self, g, start=0, whole=False):
         """Strip g through levels start..; returns (residue, level) where
         level is the first one whose orbit misses the base point's image,
-        or len(levels) when every level was passed."""
+        or len(levels) when every level was passed.  Adds the number of
+        strip steps to work."""
+        steps = 0
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
             sv = lvl.sv
             x = g[lvl.beta if whole else lvl.slot]
             if sv[x] == -1:
-                return g, i
+                break
             while x != lvl.beta:
                 inv = self.invs[sv[x]]
                 g = inv[g]
                 x = inv[x]
-        return g, len(self.levels)
+                steps += 1
+        else:
+            i = len(self.levels)
+        self.work += steps
+        return g, i
 
     def insert(self, g, k):
         """Add the whole non-identity g, which fixes the first k base
@@ -700,13 +713,18 @@ class _StabChain:
     def check_level(self, i):
         """Sift the unchecked Schreier generators of level i through the
         levels below it.  Returns the level of the first non-trivial residue,
-        after inserting it, or None when they all sift to the identity."""
+        after inserting it, or None when they all sift to the identity.
+
+        Level 0 uses only the first ninput strong generators: they generate
+        G, so by Schreier's lemma their Schreier generators generate G_beta.
+        Raises ActionTooLarge once work passes SIFT_BUDGET."""
         lvl = self.levels[i]
-        a = min(lvl.done)
+        gens = lvl.gens[:self.ninput] if i == 0 else lvl.gens
+        a = min(lvl.done[:len(gens)])
         while a < len(lvl.orbit):
             x = lvl.orbit[a]
             u = None
-            for c, j in enumerate(lvl.gens):
+            for c, j in enumerate(gens):
                 if lvl.done[c] != a:
                     continue
                 lvl.done[c] = a + 1
@@ -715,7 +733,12 @@ class _StabChain:
                     continue        # a Schreier-tree edge: u_x s = u_(x^s)
                 if u is None:
                     u = self.transversal(lvl, x)
-                if not self.is_identity(self.sift(s[u], i)[0]):
+                g = self.sift(s[u], i)[0]
+                if self.work > SIFT_BUDGET:
+                    raise ActionTooLarge(
+                        "Schreier-Sims work %d exceeds the budget %d on %d "
+                        "points" % (self.work, SIFT_BUDGET, self.ident.size))
+                if not self.is_identity(g):
                     return self.add(s[self.transversal(lvl, x, whole=True)])
             a += 1
         return None
@@ -727,11 +750,13 @@ def group_order(grp, action=VECTORS):
     Each generator is turned into a permutation of the point set (see
     _point_set) by one matrix product; the rest is Schreier-Sims on those
     permutations (see _StabChain), with no further matrix arithmetic.
-    Every Schreier generator at every level is verified to sift to the
-    identity before the chain is trusted, so the order is exact.  Memory
-    is O(q^d) per base point and per strong generator.  Raises
-    ActionTooLarge when q^d exceeds 2^24.  The computation is
-    deterministic.
+    Before the chain is trusted, every Schreier generator below the first
+    level, and at the first level those of the strong generators made from
+    the input (Schreier's lemma: they generate the point stabilizer), are
+    verified to sift to the identity, so the order is exact.  Memory is
+    O(q^d) per base point and per strong generator.  Raises ActionTooLarge
+    when q^d exceeds 2^24 or the sifts take more than SIFT_BUDGET steps.
+    The computation is deterministic.
     """
     F = grp.field
     d = grp.dim
@@ -743,6 +768,7 @@ def group_order(grp, action=VECTORS):
     chain = _StabChain(reps.size, frame)
     for g in grp.generators:
         chain.add(_point_perm(F, d, reps, index, g))
+    chain.ninput = len(chain.perms)
     i = len(chain.levels) - 1
     while i >= 0:
         k = chain.check_level(i)

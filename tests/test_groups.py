@@ -1,6 +1,8 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stingray import _kernels, classify, ffield, fmatrix, fpoly, groups
 from stingray._intmath import SplitMix64
@@ -257,6 +259,66 @@ def test_group_order_matches_sympy():
         want = PermutationGroup([Permutation(p) for p in perms]).order()
         assert groups.group_order(grp, action=action) == want, \
             (family, d, q, action)
+
+
+@st.composite
+def _generating_sets(draw):
+    """1-3 invertible matrices over GF(2) (d <= 4) or GF(3) (d <= 3), each
+    a product P L U, sometimes with the identity, a repeat or a product of
+    two earlier ones added."""
+    q = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 4 if q == 2 else 3))
+    ident = oracles.mat_identity(d)
+
+    def invertible():
+        perm = draw(st.permutations(range(d)))
+        L = [[1 if i == j else draw(st.integers(0, q - 1)) if j < i else 0
+              for j in range(d)] for i in range(d)]
+        U = [[draw(st.integers(1, q - 1)) if i == j else
+              draw(st.integers(0, q - 1)) if j > i else 0
+              for j in range(d)] for i in range(d)]
+        P = [ident[perm[i]] for i in range(d)]
+        return oracles.mat_mul(P, oracles.mat_mul(L, U, q), q)
+
+    gens = [invertible() for _ in range(draw(st.integers(1, 3)))]
+    extra = draw(st.sampled_from(("none", "identity first", "identity",
+                                  "repeat", "product")))
+    if extra == "identity first":
+        gens.insert(0, ident)
+    elif extra == "identity":
+        gens.append(ident)
+    elif extra == "repeat":
+        gens.append(draw(st.sampled_from(gens)))
+    elif extra == "product":
+        gens.append(oracles.mat_mul(draw(st.sampled_from(gens)),
+                                    draw(st.sampled_from(gens)), q))
+    return q, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generating_sets())
+def test_group_order_matches_sympy_on_odd_generating_sets(case):
+    # Level 0 checks only the Schreier generators of the strong generators
+    # made from the input, so redundant and trivial inputs must not matter.
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+    q, gens = case
+    F = ffield.make_field(q)
+    grp = groups.MatrixGroup(F, len(gens[0]),
+                             [fmatrix.DenseMatrix(F, g) for g in gens])
+    for action in (groups.VECTORS, groups.PROJECTIVE):
+        perms = oracles.induced_perms(gens, q,
+                                      projective=action == groups.PROJECTIVE)
+        want = PermutationGroup([Permutation(p) for p in perms]).order()
+        assert groups.group_order(grp, action=action) == want, action
+
+
+def test_work_budget_is_a_typed_error(monkeypatch):
+    grp = groups.classical_generators("GL", 4, 3)
+    monkeypatch.setattr(groups, "SIFT_BUDGET", 100)
+    with pytest.raises(ActionTooLarge, match=r"work \d+ exceeds the budget "
+                       r"100 on 81 points"):
+        groups.group_order(grp)
 
 
 def test_action_too_large():
